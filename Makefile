@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check build build-matrix vet test race race-debug review-gate docs-check check-explore oracle scenarios bench bench-all
+.PHONY: check build build-matrix fmt-check vet test race race-debug review-gate docs-check check-explore oracle scenarios bench bench-all
 
-check: build build-matrix vet race race-debug review-gate docs-check
+check: build build-matrix fmt-check vet race race-debug review-gate docs-check
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,10 @@ build-matrix:
 	$(GO) build ./...
 	$(GO) build -tags scldebug ./...
 	$(GO) vet -tags scldebug ./...
+
+# Every Go file must be gofmt-clean; the target lists the ones that are not.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); if [ -n "$$out" ]; then echo "fmt-check: not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -37,8 +41,10 @@ race:
 # The lock package once more with the scldebug build tag: the internal
 # invariant assertions (debugChecks in mutex.go) compile to live panics
 # instead of no-ops, so the race suite also proves the invariants hold.
+# It runs at one and two Ps, the two branches of the combining
+# publisher's wait (combineSpinBudget: park at once, or spin first).
 race-debug:
-	$(GO) test -race -tags scldebug .
+	$(GO) test -race -tags scldebug -cpu 1,2 .
 
 # Review scaffolding (REVIEW-marked probes, temporary assertions) may live
 # in test files only; fail the gate if any marker leaks into production

@@ -2,21 +2,23 @@ package scl
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scl/internal/check"
 )
 
 // This file is the locks' seam to the deterministic checker
-// (internal/check). In normal operation every helper here degrades to
-// the ordinary primitive at the cost of one atomic nil-check (the same
-// always-compiled pattern as the Tracer hook — a build tag cannot gate
-// these, because `go test ./internal/check` must explore the untagged
-// build everyone actually runs). Under an installed check scheduler
-// (tests only) the helpers reroute: internal mutexes become
-// scheduler-managed resources, the slice/phase timers run on the
-// virtual clock, and blocking waits become predicate parks the explorer
-// can reorder.
+// (internal/check), together with the state-word, tracer and timer
+// pieces both locks share. In normal operation every checker hook here
+// degrades to the ordinary primitive at the cost of one atomic
+// nil-check (the same always-compiled pattern as the Tracer hook — a
+// build tag cannot gate these, because `go test ./internal/check` must
+// explore the untagged build everyone actually runs). Under an
+// installed check scheduler (tests only) the hooks reroute: internal
+// mutexes become scheduler-managed resources, the slice/phase timers
+// run on the virtual clock, and blocking waits become predicate parks
+// the explorer can reorder.
 //
 // A lock instance must live entirely on one side of the seam: created
 // and used under an installed scheduler, or created and used without
@@ -42,29 +44,32 @@ import (
 // off check.GID (the managed goroutine's spawn index), not runtime
 // identity, so a replayed seed takes identical branches.
 //
-// The combining path (Handle.Do, combine.go) adds three decision sites
-// around its lock-free stack:
+// The combining engine (combiner, combine.go) serves Handle.Do and
+// RWLock.Do with one protocol, so each lock's sites differ only in their
+// prefix — "mu.combine" on a Mutex, "rw.combine" on an RWLock — and in
+// the busy bits the publisher's predicate watches (held|transfer on a
+// Mutex, writer-active on an RWLock):
 //
-//   - "mu.combine.publish": between a Do caller observing the lock held
+//   - "<prefix>.publish": between a Do caller observing the lock busy
 //     and its push CAS landing — the publish-vs-release race. A release
 //     scheduled here must either drain the request or leave the lock
 //     idle and wake-walk it; the checker explores both.
-//   - "mu.combine.drain": in takeCombineBatch, before the holder swaps
-//     the stack empty — racing publishers land either in this batch or
-//     the next.
-//   - "mu.combine.handoff": after a drained batch's charges are booked,
-//     before the publishers are released with the done-store — the
-//     window where a publisher must not yet observe its own completion.
+//   - "<prefix>.drain": in combiner.take, before the holder swaps the
+//     stack empty — racing publishers land either in this batch or the
+//     next.
+//   - "<prefix>.handoff": after a drained batch is booked, before the
+//     publishers are released with the done-store — the window where a
+//     publisher must not yet observe its own completion.
 //
-// The publisher's wait parks at "mu.combine.wait" (and
-// "mu.combine.claimed" once a combiner owns the request); its predicate
-// reads only the request state and the packed word, so the explorer can
-// wake it against any interleaving of the drain.
+// The publisher's wait parks at "<prefix>.wait" (and "<prefix>.claimed"
+// once a combiner owns the request); its predicate reads only the
+// request state and the packed word, so the explorer can wake it
+// against any interleaving of the drain. The booking of a drained batch
+// stays with each lock and has no sites of its own.
 //
-// RWLock.Do mirrors the same three sites for the writer-side stack —
-// "rw.combine.publish", "rw.combine.drain", "rw.combine.handoff" — with
-// parks at "rw.combine.wait"/"rw.combine.claimed"; the publisher's
-// predicate watches the writer-active bit instead of the held bit.
+// The RW-SCL's inline write acquire marks "rw.wlock.inline" between
+// observing a free write slice and its CAS raising the writer-active bit
+// — the window where a lone writer's fast acquire may land first.
 //
 // The Manager threads its table-level decisions through the same seam:
 // its stripe mutexes go through lockMutex/unlockMutex, and it marks
@@ -85,13 +90,89 @@ type lockTimer interface {
 	Stop() bool
 }
 
-// startLockTimer arms a one-shot timer calling f after d: a virtual
-// timer under an installed check scheduler, time.AfterFunc otherwise.
-func startLockTimer(d time.Duration, f func()) lockTimer {
-	if t, ok := check.AfterFunc(d, f); ok {
-		return t
+// boundaryTimer is a lock's one reusable slice/phase-end timer:
+// re-arming per operation would spawn a goroutine per firing
+// (time.AfterFunc), which dominates runtime under load. It is created
+// on first arm — a virtual-clock timer under an installed check
+// scheduler, time.AfterFunc otherwise — and calls fire, which the lock's
+// constructor sets once. The lock's mutex guards it.
+type boundaryTimer struct {
+	t    lockTimer
+	at   time.Duration // absolute arm target; -1 once fired
+	fire func()
+}
+
+// arm schedules fire at the absolute time end, unless the timer is
+// already armed for that end.
+func (b *boundaryTimer) arm(end time.Duration) {
+	if b.at == end {
+		return
 	}
-	return time.AfterFunc(d, f)
+	b.at = end
+	delay := end - monotime()
+	if delay < 0 {
+		delay = 0
+	}
+	if b.t != nil {
+		b.t.Reset(delay)
+	} else if t, ok := check.AfterFunc(delay, b.fire); ok {
+		b.t = t
+	} else {
+		b.t = time.AfterFunc(delay, b.fire)
+	}
+}
+
+// lockWord is a lock's packed atomic state word. The fast paths CAS it
+// without the lock's mutex; the slow paths change it under the mutex
+// through mutate, whose CAS loop tolerates concurrent fast-path CASes.
+type lockWord struct {
+	atomic.Uint64
+	site string // decision site of mutate's load→CAS window
+}
+
+// mutate applies f to the word and returns the installed word.
+func (w *lockWord) mutate(f func(uint64) uint64) uint64 {
+	for {
+		old := w.Load()
+		new := f(old)
+		// The load→CAS window: a concurrent fast-path CAS may land here,
+		// which is exactly the interleaving the checker reorders.
+		check.Point(w.site)
+		if old == new || w.CompareAndSwap(old, new) {
+			return new
+		}
+	}
+}
+
+// setBit raises bit when on holds and clears it otherwise; the locks
+// reconcile their waiters bits with their queues through it.
+func (w *lockWord) setBit(bit uint64, on bool) {
+	w.mutate(func(x uint64) uint64 {
+		if on {
+			return x | bit
+		}
+		return x &^ bit
+	})
+}
+
+// tracerSlot holds a lock's Tracer. The fast paths read it without the
+// lock's mutex, so it is swapped atomically.
+type tracerSlot struct{ p atomic.Pointer[Tracer] }
+
+func (s *tracerSlot) load() Tracer {
+	if p := s.p.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// store installs t; nil removes the tracer.
+func (s *tracerSlot) store(t Tracer) {
+	if t == nil {
+		s.p.Store(nil)
+		return
+	}
+	s.p.Store(&t)
 }
 
 // lockMutex acquires a lock-internal mutex through the checker hook:

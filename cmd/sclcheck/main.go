@@ -32,7 +32,7 @@ import (
 func main() {
 	var (
 		mode      = flag.String("mode", "explore", "explore, replay, dfs, or oracle")
-		workload  = flag.String("workload", "mutex-churn", "mutex-churn, mutex-contend, mutex-combine, rw-churn, rw-shard, or manager-churn")
+		workload  = flag.String("workload", "mutex-churn", "mutex-churn, mutex-contend, mutex-combine, rw-churn, rw-shard, rw-writers, rw-writers-do, or manager-churn")
 		schedules = flag.Int("schedules", 20000, "exploration budget (explore mode)")
 		seed      = flag.Int64("seed", 1, "base seed (explore) or schedule seed (replay)")
 		strategy  = flag.String("strategy", "pct", "schedule chooser for explore mode: pct or random")
@@ -106,6 +106,10 @@ func pick(name string) check.Workload {
 		return workloads.RWChurn(workloads.RWOpts{Seed: 1, Cancel: true})
 	case "rw-shard":
 		return workloads.RWShardSweep(workloads.RWShardOpts{Seed: 1})
+	case "rw-writers":
+		return workloads.RWWriters(workloads.RWWritersOpts{})
+	case "rw-writers-do":
+		return workloads.RWWriters(workloads.RWWritersOpts{Do: true})
 	case "manager-churn":
 		return workloads.ManagerChurn(workloads.ManagerOpts{Seed: 1, Cancel: true, CloseMid: true, GC: true})
 	}

@@ -32,7 +32,7 @@ func TestAbandonGrantedWakesCombiners(t *testing.T) {
 	w.granted.Store(true)
 	m.lockMu()
 	m.next = w
-	m.mutate(func(x uint64) uint64 { return x | wordTransfer })
+	m.word.mutate(func(x uint64) uint64 { return x | wordTransfer })
 	m.syncWaitersBit()
 	m.unlockMu()
 
@@ -45,7 +45,7 @@ func TestAbandonGrantedWakesCombiners(t *testing.T) {
 	// Wait until the section is published; with a zero spin budget the
 	// publisher then parks (the transfer bit keeps it from withdrawing).
 	deadline := time.Now().Add(5 * time.Second)
-	for m.combine.Load() == nil {
+	for m.combine.head.Load() == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("publisher never published")
 		}
@@ -150,7 +150,7 @@ func waitPublished(t *testing.T, m *Mutex, n int) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		count := 0
-		for r := m.combine.Load(); r != nil; r = r.next.Load() {
+		for r := m.combine.head.Load(); r != nil; r = r.next.Load() {
 			count++
 		}
 		if count >= n {
@@ -177,7 +177,7 @@ func TestRWDoClosurePanicDoesNotWedge(t *testing.T) {
 		close(done)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for l.wcombine.Load() == nil {
+	for l.wcombine.head.Load() == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("writer section never published")
 		}

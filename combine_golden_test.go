@@ -11,7 +11,7 @@ import (
 // combining stack (test-only; racy reads are fine for polling).
 func combineStackLen(m *Mutex) int {
 	n := 0
-	for r := m.combine.Load(); r != nil; r = r.next.Load() {
+	for r := m.combine.head.Load(); r != nil; r = r.next.Load() {
 		n++
 	}
 	return n

@@ -146,3 +146,65 @@ func TestScriptedKSCLEventStream(t *testing.T) {
 		t.Fatalf("lone entity banned %d times", s.Bans[a.ID()])
 	}
 }
+
+// sliceEndHook is a recording Tracer whose OnSliceEnd runs fn instead.
+type sliceEndHook struct {
+	recTracer
+	fn func()
+}
+
+func (h *sliceEndHook) OnSliceEnd(trace.Event) { h.fn() }
+
+// TestSiblingFastLockShutOutAtSliceEnd: a release that ends the slice
+// must shut the owner fast path out in the same step that drops the
+// held bit. A sibling handle of the slice owner that fast-acquired in
+// between would be joined by the slice transfer to the queued entity —
+// two holders. The slice timer is stopped so only the release runs the
+// boundary, and the sibling's fast acquire is attempted from inside that
+// release (the slice-end event), which is the window. The checker
+// cannot reach it: virtual slice timers fire on time, so the stale bit
+// always lands before the release.
+func TestSiblingFastLockShutOutAtSliceEnd(t *testing.T) {
+	m := NewMutex(Options{Slice: 2 * time.Millisecond})
+	a := m.Register()
+	sib := a.Sibling()
+	b := m.Register()
+
+	a.Lock()
+	m.lockMu()
+	m.timer.t.Stop()
+	m.unlockMu()
+	done := make(chan struct{})
+	go func() {
+		b.Lock()
+		b.Unlock()
+		close(done)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for m.word.Load()&wordWaiters == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("competitor never queued")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(3 * time.Millisecond) // past the slice end
+
+	var fast bool
+	var word uint64
+	m.SetTracer(&sliceEndHook{fn: func() {
+		fast = m.fastLock(sib)
+		word = m.word.Load()
+	}})
+	a.Unlock()
+	if fast {
+		t.Fatalf("sibling fast-acquired inside the slice-ending release (word %#x)", word)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("queued competitor never granted")
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

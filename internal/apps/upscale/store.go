@@ -6,8 +6,8 @@
 // critical sections are an order of magnitude longer than find critical
 // sections (paper Table 1, UpScaleDB row).
 //
-// The store runs in two harnesses: a real-goroutine mode (cmd/lht,
-// examples) and a simulator twin where each simulated thread executes the
+// The store runs in two harnesses: a real-goroutine mode (sclbench
+// -exp table1, examples) and a simulator twin where each simulated thread executes the
 // real data-structure operation, measures its actual duration, and charges
 // it to the simulated CPU.
 package upscale

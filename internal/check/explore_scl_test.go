@@ -22,7 +22,7 @@ var (
 	seedFlag = flag.Int64("check.seed", 0,
 		"replay this schedule seed against the selected workload instead of exploring")
 	workloadFlag = flag.String("check.workload", "mutex-churn",
-		"workload for -check.seed replay: mutex-churn, mutex-contend, mutex-combine, rw-churn, rw-shard, manager-churn, scenario")
+		"workload for -check.seed replay: mutex-churn, mutex-contend, mutex-combine, rw-churn, rw-shard, rw-writers, rw-writers-do, manager-churn, scenario")
 	schedulesFlag = flag.Int("check.schedules", 0,
 		"override the exploration budget (number of schedules)")
 	scenarioFlag = flag.String("check.scenario", "",
@@ -59,6 +59,10 @@ func namedWorkload(t *testing.T, name string) check.Workload {
 		return workloads.RWChurn(workloads.RWOpts{Seed: 1, Cancel: true})
 	case "rw-shard":
 		return workloads.RWShardSweep(workloads.RWShardOpts{Seed: 1})
+	case "rw-writers":
+		return workloads.RWWriters(workloads.RWWritersOpts{})
+	case "rw-writers-do":
+		return workloads.RWWriters(workloads.RWWritersOpts{Do: true})
 	case "manager-churn":
 		return workloads.ManagerChurn(workloads.ManagerOpts{Seed: 1, Cancel: true, CloseMid: true, GC: true})
 	case "scenario":
@@ -273,6 +277,33 @@ func TestExploreRWShardDFS(t *testing.T) {
 		t.Fatalf("DFS exploration failed:\n%v", sum.Failure)
 	}
 	t.Logf("%d runs, %d distinct schedules", sum.Runs, sum.Distinct)
+}
+
+// TestExploreRWWriters races the lone-writer fast path against the slow
+// write acquire and release (two writers, no readers) in both explorer
+// modes, with and without RWLock.Do on one side: an inline slow acquire
+// must never land on top of a fast writer, and a writer that queues
+// behind a fast release must still be granted.
+func TestExploreRWWriters(t *testing.T) {
+	if *seedFlag != 0 {
+		t.Skip("replay handled by TestExploreMutexChurn")
+	}
+	n := 5000
+	if testing.Short() {
+		n = 500
+	}
+	for _, do := range []bool{false, true} {
+		w := workloads.RWWriters(workloads.RWWritersOpts{Do: do})
+		for _, mode := range []string{"random", "pct"} {
+			t.Run(w.Name+"/"+mode, func(t *testing.T) {
+				sum := check.Explore(check.Opts{Schedules: n, Seed: 14, Mode: mode, Depth: 3}, w)
+				if sum.Failure != nil {
+					t.Fatalf("exploration failed (replay with -check.workload=%s):\n%v", w.Name, sum.Failure)
+				}
+				t.Logf("%d runs, %d distinct schedules", sum.Runs, sum.Distinct)
+			})
+		}
+	}
 }
 
 // TestExploreManagerChurn drives the lock-table Manager through

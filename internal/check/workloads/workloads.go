@@ -593,6 +593,84 @@ func RWChurn(o RWOpts) check.Workload {
 	}
 }
 
+// RWWritersOpts configures the writer-only RWLock workload.
+type RWWritersOpts struct {
+	// Do routes the second writer's sections through RWLock.Do, pulling
+	// the writer-side combining protocol into the explored schedules.
+	Do bool
+}
+
+// RWWriters drives two writers and no readers through zero-length
+// critical sections, so every schedule stays inside the write phase
+// where the lone-writer fast path (fastWLock/fastWUnlock) races the
+// slow acquire and release under the lock's mutex. The section is a
+// check.Point, a decision site of its own, so the explorer can run the
+// other writer's whole fast acquire and release inside a hold. On every
+// schedule it asserts writer exclusion, exactly-once execution of each
+// section, the lock's invariants after every operation, and writer-op
+// conservation; a writer whose grant is lost parks forever and
+// surfaces as a checker deadlock.
+func RWWriters(o RWWritersOpts) check.Workload {
+	const ops = 3 // critical sections per writer
+	name := "rw-writers"
+	if o.Do {
+		name = "rw-writers-do"
+	}
+	var l *scl.RWLock
+	executed := make([][]int, 2)
+	return check.Workload{
+		Name: name,
+		Setup: func(s *check.Sched) {
+			l = scl.NewRWLock(1, 1, 2*time.Millisecond)
+			writers := new(int)
+			for w := range executed {
+				w := w
+				executed[w] = make([]int, ops)
+				s.Go(fmt.Sprintf("w%d", w), func() {
+					for i := 0; i < ops; i++ {
+						i := i
+						section := func() {
+							*writers++
+							if *writers != 1 {
+								s.Failf("%d writers active", *writers)
+							}
+							check.Point("rw.writers.cs")
+							*writers--
+							executed[w][i]++
+						}
+						if o.Do && w == 1 {
+							l.Do(section)
+						} else {
+							l.WLock()
+							section()
+							l.WUnlock()
+						}
+						if err := l.CheckInvariants(); err != nil {
+							s.Failf("invariants broken after op %d: %v", i, err)
+						}
+					}
+				})
+			}
+		},
+		Validate: func() error {
+			if err := l.CheckInvariants(); err != nil {
+				return err
+			}
+			for w, ops := range executed {
+				for i, n := range ops {
+					if n != 1 {
+						return fmt.Errorf("writer %d op %d executed %d times (want exactly once)", w, i, n)
+					}
+				}
+			}
+			if n, want := l.Stats().WriterOps, int64(2*ops); n != want {
+				return fmt.Errorf("writer op conservation broken: lock counted %d, want %d", n, want)
+			}
+			return nil
+		},
+	}
+}
+
 // ManagerOpts configures the lock-table churn workload.
 type ManagerOpts struct {
 	// Tenants is the number of concurrent tenants (default 3).

@@ -198,10 +198,10 @@ func TestPoissonGapperSeeded(t *testing.T) {
 func TestDistSampleEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cases := []Dist{
-		{Kind: DistFixed, A: us(1)},               // below one quantum
-		{Kind: DistFixed, A: Quantum},             // exactly one quantum
+		{Kind: DistFixed, A: us(1)},                 // below one quantum
+		{Kind: DistFixed, A: Quantum},               // exactly one quantum
 		{Kind: DistUniform, A: us(100), B: us(100)}, // zero-width uniform
-		{Kind: DistExp, A: us(10)},                // tiny mean
+		{Kind: DistExp, A: us(10)},                  // tiny mean
 	}
 	for _, d := range cases {
 		for i := 0; i < 32; i++ {

@@ -121,7 +121,7 @@ func WithTenantGC(threshold time.Duration) ManagerOption {
 // through the checkhooks seam).
 type stripe struct {
 	mu       sync.Mutex
-	books    *core.Accountant     // tenant-level accounting, k-SCL style
+	books    *core.Accountant // tenant-level accounting, k-SCL style
 	keys     map[string]*managedLock
 	inflight map[core.ID]int // grants in flight per tenant (reap veto)
 	stats    map[core.ID]*tenantStat

@@ -44,22 +44,19 @@ type Mutex struct {
 	name   string
 	fastOK bool // slices have nonzero length (k-SCL disables the fast path)
 
-	// tracer is read lock-free on the fast path; SetTracer swaps it
-	// atomically (a plain field would race once acquire/release no longer
-	// hold mu).
-	tracer atomic.Pointer[Tracer]
+	tracer tracerSlot
 
 	// word is the packed fast-path state: {held, transfer, waiters, stale,
 	// owner id}. The fast path CASes it without mu; the slow path mutates
-	// it under mu with CAS loops that tolerate concurrent fast-path CASes.
-	word atomic.Uint64
+	// it under mu.
+	word lockWord
 	// fastOps counts fast-path acquisitions since the last fold.
 	fastOps atomic.Int64
-	// combine is the lock-free combining stack (Handle.Do): contended Do
-	// callers push their critical sections here instead of queueing, and
-	// the releasing holder drains a bounded batch (combine.go). Pushes are
-	// lock-free; pops happen only under mu.
-	combine atomic.Pointer[combineReq]
+	// combine is the combining engine (Handle.Do, combine.go): contended
+	// Do callers publish their critical sections instead of queueing, and
+	// the releasing holder drains a bounded batch while it still holds
+	// the held or transfer bit.
+	combine combiner
 
 	// csStart and fastHeld are owned by the current lock holder (ordered
 	// across holders by the word CASes): whether the live hold was taken
@@ -75,13 +72,10 @@ type Mutex struct {
 	fastSince time.Duration   // start of the open fast window (-1: none)
 	next      *waiter
 	parked    []*waiter
-	// One reusable timer drives slice-end processing (stale-marking a
+	// timer drives slice-end processing (onSliceTimer): stale-marking a
 	// fast-path owner, transferring to waiters, clearing an abandoned
-	// slice); re-arming per operation would spawn a goroutine per firing.
-	// Behind the lockTimer seam it is a virtual-clock timer under the
-	// deterministic checker, a time.AfterFunc timer otherwise.
-	timer   lockTimer
-	timerAt time.Duration // absolute arm target; avoids redundant resets
+	// slice.
+	timer boundaryTimer
 
 	stats lockStats
 }
@@ -123,10 +117,10 @@ func NewMutex(opts Options, extra ...Option) *Mutex {
 		}),
 	}
 	m.fastSince = -1
-	if opts.Tracer != nil {
-		t := opts.Tracer
-		m.tracer.Store(&t)
-	}
+	m.word.site = "mu.word.mutate"
+	m.combine = combiner{word: &m.word, busy: wordHeld | wordTransfer, sites: &muCombineSites}
+	m.timer.fire = m.onSliceTimer
+	m.tracer.store(opts.Tracer)
 	m.stats.init()
 	return m
 }
@@ -137,20 +131,7 @@ func (m *Mutex) Name() string { return m.name }
 // SetTracer installs (or, with nil, removes) a Tracer at runtime, e.g. to
 // attach a trace.Ring flight recorder to a live lock. The swap is atomic
 // and safe against concurrent fast-path lock operations.
-func (m *Mutex) SetTracer(t Tracer) {
-	if t == nil {
-		m.tracer.Store(nil)
-		return
-	}
-	m.tracer.Store(&t)
-}
-
-func (m *Mutex) loadTracer() Tracer {
-	if p := m.tracer.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+func (m *Mutex) SetTracer(t Tracer) { m.tracer.store(t) }
 
 // Handle is one schedulable entity's endpoint on a Mutex. A Handle must
 // not be used concurrently with itself (it represents a single thread of
@@ -223,7 +204,7 @@ func (h *Handle) Close() {
 		// accountant does not see it). Shut it out with the stale bit —
 		// its release then takes the slow path and observes the closed
 		// refcount — unless the release already landed.
-		w = m.mutate(func(x uint64) uint64 { return x | wordStale })
+		w = m.word.mutate(func(x uint64) uint64 { return x | wordStale })
 		inFlight = w&wordHeld != 0
 	}
 	if inFlight {
@@ -236,7 +217,7 @@ func (h *Handle) Close() {
 	owner, owned := m.acct.SliceOwner()
 	if owned && owner == h.id {
 		m.fastSince = -1
-		m.mutate(func(w uint64) uint64 { return w &^ (wordOwner | wordStale) })
+		m.word.mutate(func(w uint64) uint64 { return w &^ (wordOwner | wordStale) })
 	}
 	m.acct.Unregister(h.id)
 	m.debugCheckBooks()
@@ -268,7 +249,7 @@ func (m *Mutex) dropGhostLocked(id core.ID, now time.Duration) {
 	if w := m.word.Load(); w&wordHeld == 0 && w&wordOwner == ownerBits(id) {
 		m.fold(now)
 		m.fastSince = -1
-		m.mutate(func(x uint64) uint64 { return x &^ (wordOwner | wordStale) })
+		m.word.mutate(func(x uint64) uint64 { return x &^ (wordOwner | wordStale) })
 		ownedSlice = true
 	}
 	m.acct.Unregister(id)
@@ -335,7 +316,7 @@ func (m *Mutex) maybeReap(now time.Duration) {
 		// operation in flight: reaping its entity would strand the charge.
 		return m.entityCombining(id)
 	})
-	t := m.loadTracer()
+	t := m.tracer.load()
 	for _, r := range reaped {
 		delete(m.refs, r.ID)
 		name := m.stats.onReap(int64(r.ID), now)
@@ -382,21 +363,6 @@ func (h *Handle) SetName(name string) *Handle { h.name = name; return h }
 // Name returns the handle's label.
 func (h *Handle) Name() string { return h.name }
 
-// mutate applies f to the state word with a CAS loop that tolerates
-// concurrent fast-path CASes. m.mu held. Returns the installed word.
-func (m *Mutex) mutate(f func(uint64) uint64) uint64 {
-	for {
-		old := m.word.Load()
-		new := f(old)
-		// The load→CAS window: a concurrent fast-path CAS may land here,
-		// which is exactly the interleaving the checker reorders.
-		check.Point("mu.word.mutate")
-		if old == new || m.word.CompareAndSwap(old, new) {
-			return new
-		}
-	}
-}
-
 // fastLock is the slice owner's lock-free acquire: one CAS on the state
 // word, no clock read, deferred accounting. It succeeds only while the
 // lock is free, no grant is in flight, and the word names h's entity as
@@ -413,7 +379,7 @@ func (m *Mutex) fastLock(h *Handle) bool {
 	}
 	m.fastHeld = true
 	m.fastOps.Add(1)
-	if t := m.loadTracer(); t != nil {
+	if t := m.tracer.load(); t != nil {
 		now := monotime()
 		m.csStart = now
 		t.OnAcquire(m.event(trace.KindAcquire, now, h.id, h.name, 0))
@@ -432,13 +398,13 @@ func (m *Mutex) fastUnlock(h *Handle) bool {
 	if !m.fastHeld {
 		return false
 	}
-	if m.combine.Load() != nil {
+	if m.combine.head.Load() != nil {
 		// Published critical sections are waiting (Handle.Do): decline so
 		// the slow release drains them while the held bit still provides
 		// mutual exclusion.
 		return false
 	}
-	t := m.loadTracer()
+	t := m.tracer.load()
 	var now, hold time.Duration
 	if t != nil {
 		now = monotime()
@@ -457,8 +423,8 @@ func (m *Mutex) fastUnlock(h *Handle) bool {
 	}
 	// A publish that raced the release CAS would otherwise park with
 	// nobody coming to drain it; wake-walk so it observes the free lock.
-	if m.combine.Load() != nil {
-		m.wakeCombiners()
+	if m.combine.head.Load() != nil {
+		m.combine.wakeIdle()
 	}
 	return true
 }
@@ -556,7 +522,7 @@ func (m *Mutex) lockSlow(h *Handle, ctx context.Context) error {
 	} else {
 		m.parked = append(m.parked, w)
 	}
-	m.mutate(func(x uint64) uint64 { return x | wordWaiters })
+	m.word.mutate(func(x uint64) uint64 { return x | wordWaiters })
 	if head {
 		m.armSliceEnd()
 	}
@@ -580,7 +546,7 @@ func (m *Mutex) lockSlow(h *Handle, ctx context.Context) error {
 	// Take the lock and retire the grant in one step: the transfer bit
 	// must not clear before the held bit is up, or the previous owner's
 	// fast path could still see a free word naming it.
-	m.mutate(func(x uint64) uint64 { return (x | wordHeld) &^ wordTransfer })
+	m.word.mutate(func(x uint64) uint64 { return (x | wordHeld) &^ wordTransfer })
 	m.syncWaitersBit()
 	m.armSliceEnd() // the transfer bit suppressed arming in startSlice
 	m.acquireLocked(h, now, reqAt)
@@ -602,7 +568,7 @@ func (m *Mutex) abandon(w *waiter, reqAt time.Duration) {
 	// to, leaving the word fully idle: publishers (Handle.Do) that parked
 	// while the transfer bit was up must be woken to self-serve, exactly
 	// as on the release paths. No-op unless the word actually went idle.
-	defer m.wakeCombiners()
+	defer m.combine.wakeIdle()
 	now := monotime()
 	granted := w.granted.Load() // stable under m.mu: grants happen under it
 	if m.next == w {
@@ -643,7 +609,7 @@ func (m *Mutex) regrantLocked(w *waiter, now time.Duration) {
 				return
 			}
 		}
-		m.mutate(func(x uint64) uint64 { return x &^ wordTransfer })
+		m.word.mutate(func(x uint64) uint64 { return x &^ wordTransfer })
 		if m.fastOK {
 			m.fastSince = now
 		}
@@ -661,7 +627,7 @@ func (m *Mutex) regrantLocked(w *waiter, now time.Duration) {
 	// Nobody left to grant to: retire the transfer and clear the expired
 	// slice in one atomic step, as transferLocked does for an empty queue.
 	m.acct.ClearSlice()
-	m.mutate(func(x uint64) uint64 { return x &^ (wordTransfer | wordOwner | wordStale) })
+	m.word.mutate(func(x uint64) uint64 { return x &^ (wordTransfer | wordOwner | wordStale) })
 }
 
 // noteAbandon records a cancelled acquisition that never queued (a ban
@@ -681,7 +647,7 @@ func (m *Mutex) noteAbandonLocked(h *Handle, now, reqAt time.Duration) {
 		wait = 0
 	}
 	m.stats.onAbandon(int64(h.id), h.name)
-	if t := m.loadTracer(); t != nil {
+	if t := m.tracer.load(); t != nil {
 		t.OnAbandon(m.event(trace.KindAbandon, now, h.id, h.name, wait))
 	}
 }
@@ -749,7 +715,7 @@ func (m *Mutex) startSlice(id core.ID, now time.Duration) {
 	m.fold(now)
 	m.acct.StartSlice(id, now)
 	if m.fastOK {
-		m.mutate(func(w uint64) uint64 {
+		m.word.mutate(func(w uint64) uint64 {
 			return (w &^ (wordOwner | wordStale)) | ownerBits(id)
 		})
 	}
@@ -797,7 +763,7 @@ func (m *Mutex) acquireLocked(h *Handle, now, reqAt time.Duration) {
 	}
 	m.acct.OnAcquire(h.id, now)
 	m.stats.onAcquire(int64(h.id), h.name, now, wait)
-	if t := m.loadTracer(); t != nil {
+	if t := m.tracer.load(); t != nil {
 		t.OnAcquire(m.event(trace.KindAcquire, now, h.id, h.name, wait))
 	}
 }
@@ -887,13 +853,7 @@ func (m *Mutex) promoteHead() {
 
 // syncWaitersBit reconciles the waiters bit with the queue. m.mu held.
 func (m *Mutex) syncWaitersBit() {
-	empty := m.next == nil && len(m.parked) == 0
-	m.mutate(func(w uint64) uint64 {
-		if empty {
-			return w &^ wordWaiters
-		}
-		return w | wordWaiters
-	})
+	m.word.setBit(wordWaiters, m.next != nil || len(m.parked) > 0)
 }
 
 // Unlock releases the mutex. If the lock slice has expired, ownership
@@ -917,7 +877,7 @@ func (m *Mutex) unlockSlow(h *Handle) {
 	// Publishers still pending when the lock goes idle must be woken to
 	// self-serve; runs before unlockMu (harmless — it only reads atomics
 	// and sends non-blocking signals) on every exit path below.
-	defer m.wakeCombiners()
+	defer m.combine.wakeIdle()
 	if m.word.Load()&wordHeld == 0 {
 		panic("scl: Unlock of unlocked Mutex")
 	}
@@ -940,17 +900,41 @@ func (m *Mutex) unlockSlow(h *Handle) {
 		rel = m.acct.OnRelease(h.id, now)
 		m.stats.onRelease(int64(h.id), now)
 	}
-	if t := m.loadTracer(); t != nil {
+	if t := m.tracer.load(); t != nil {
 		t.OnRelease(m.event(trace.KindRelease, now, h.id, h.name, rel.Hold))
 	}
-	if m.combine.Load() != nil {
+	if m.combine.head.Load() != nil {
 		// Execute published critical sections before surrendering the held
 		// bit: the holder's own hold (measured above) never includes the
 		// drain, and each closure is charged to its publishing entity.
 		now = m.drainCombine(h, now)
 	}
-	m.mutate(func(w uint64) uint64 { return w &^ wordHeld })
-	if t := m.loadTracer(); t != nil {
+	// Decide the successor before the held bit drops, and retire the bit
+	// in the same CAS that shuts the fast path out of the decision: a
+	// free, live word naming this entity would let a sibling handle
+	// fast-acquire while a grant below lands on top of it.
+	_, open := m.refs[h.id]
+	ghost := !open && !m.entityQueued(h.id)
+	var intra *waiter
+	if !ghost && !rel.SliceExpired {
+		// Work-conserving groups (paper §6): a queued sibling of the
+		// slice-owning entity may take the free lock for the rest of the
+		// slice — jumping the queue, since the slice is its entity's to
+		// use — instead of letting the lock idle through the releaser's
+		// non-critical section.
+		if owner, ok := m.acct.SliceOwner(); ok && m.word.Load()&wordTransfer == 0 {
+			intra = m.takeClassWaiter(owner)
+		}
+	}
+	var raise uint64
+	switch {
+	case intra != nil:
+		raise = wordTransfer
+	case ghost || rel.SliceExpired:
+		raise = m.staleBit()
+	}
+	m.word.mutate(func(w uint64) uint64 { return w&^wordHeld | raise })
+	if t := m.tracer.load(); t != nil {
 		if rel.SliceExpired {
 			t.OnSliceEnd(m.event(trace.KindSliceEnd, now, h.id, h.name, rel.SliceUse))
 		}
@@ -961,48 +945,44 @@ func (m *Mutex) unlockSlow(h *Handle) {
 	if rel.Penalty > 0 {
 		m.stats.onBan(int64(h.id), rel.Penalty)
 	}
-	if _, open := m.refs[h.id]; !open && !m.entityQueued(h.id) {
+	switch {
+	case ghost:
 		// Closed while this hold was in flight: finish the deferred
 		// unregistration and run the boundary — there is no owner left to
 		// keep the slice for.
 		m.dropGhostLocked(h.id, now)
 		m.transferLocked(now)
-		return
-	}
-	if !rel.SliceExpired {
-		// Work-conserving groups (paper §6): a queued sibling of the
-		// slice-owning entity may take the free lock for the rest of the
-		// slice — jumping the queue, since the slice is its entity's to
-		// use — instead of letting the lock idle through the releaser's
-		// non-critical section.
-		if owner, ok := m.acct.SliceOwner(); ok && m.word.Load()&wordTransfer == 0 {
-			if w := m.takeClassWaiter(owner); w != nil {
-				m.fastSince = -1
-				if w2 := m.mutate(func(x uint64) uint64 { return x | wordTransfer }); debugChecks && w2&wordHeld != 0 {
-					debugFail("intra transfer set while a fast-path holder is active")
-				}
-				w.intra = true
-				m.handoff(w, now)
-				w.grant()
-				return
-			}
-		}
+	case intra != nil:
+		m.fastSince = -1
+		intra.intra = true
+		m.handoff(intra, now)
+		intra.grant()
+	case !rel.SliceExpired:
 		// The lock idles with a live slice: open a fast window for the
 		// owner and keep the slice-end timer armed.
 		if m.fastOK {
 			m.fastSince = now
 		}
 		m.armSliceEnd()
-		return
+	default:
+		m.maybeReap(now)
+		m.transferLocked(now)
 	}
-	m.maybeReap(now)
-	m.transferLocked(now)
+}
+
+// staleBit is the bit that shuts the owner fast path out of an ending
+// slice: wordStale, or nothing when the fast path is disabled.
+func (m *Mutex) staleBit() uint64 {
+	if m.fastOK {
+		return wordStale
+	}
+	return 0
 }
 
 // handoff records an ownership grant to w. m.mu held.
 func (m *Mutex) handoff(w *waiter, now time.Duration) {
 	m.stats.onHandoff(int64(w.h.id))
-	if t := m.loadTracer(); t != nil {
+	if t := m.tracer.load(); t != nil {
 		t.OnHandoff(m.event(trace.KindHandoff, now, w.h.id, w.h.name, 0))
 	}
 }
@@ -1036,13 +1016,13 @@ func (m *Mutex) transferLocked(now time.Duration) {
 	if m.next == nil {
 		owner, owned := m.acct.SliceOwner()
 		m.acct.ClearSlice()
-		m.mutate(func(w uint64) uint64 { return w &^ (wordOwner | wordStale) })
+		m.word.mutate(func(w uint64) uint64 { return w &^ (wordOwner | wordStale) })
 		if owned {
 			m.dropGhostLocked(owner, now)
 		}
 		return
 	}
-	if w2 := m.mutate(func(w uint64) uint64 { return w | wordTransfer }); debugChecks && w2&wordHeld != 0 {
+	if w2 := m.word.mutate(func(w uint64) uint64 { return w | wordTransfer }); debugChecks && w2&wordHeld != 0 {
 		debugFail("slice transfer set while a fast-path holder is active")
 	}
 	m.handoff(m.next, now)
@@ -1061,19 +1041,19 @@ func (m *Mutex) endIdleSliceLocked(now time.Duration) bool {
 		return true
 	}
 	if m.fastOK {
-		if w := m.mutate(func(x uint64) uint64 { return x | wordStale }); w&wordHeld != 0 {
+		if w := m.word.mutate(func(x uint64) uint64 { return x | wordStale }); w&wordHeld != 0 {
 			m.fold(now)
 			return false
 		}
 	}
 	m.fold(now)
 	m.fastSince = -1
-	if t := m.loadTracer(); t != nil {
+	if t := m.tracer.load(); t != nil {
 		// No release will report this slice end; the boundary does.
 		t.OnSliceEnd(m.event(trace.KindSliceEnd, now, owner, "", 0))
 	}
 	m.acct.ClearSlice()
-	m.mutate(func(w uint64) uint64 { return w &^ (wordOwner | wordStale) })
+	m.word.mutate(func(w uint64) uint64 { return w &^ (wordOwner | wordStale) })
 	m.dropGhostLocked(owner, now)
 	return true
 }
@@ -1091,20 +1071,7 @@ func (m *Mutex) armSliceEnd() {
 	if !m.fastOK && m.next == nil {
 		return
 	}
-	end := m.acct.SliceEnd()
-	if m.timerAt == end {
-		return // already armed for this slice end
-	}
-	m.timerAt = end
-	delay := end - monotime()
-	if delay < 0 {
-		delay = 0
-	}
-	if m.timer == nil {
-		m.timer = startLockTimer(delay, m.onSliceTimer)
-		return
-	}
-	m.timer.Reset(delay)
+	m.timer.arm(m.acct.SliceEnd())
 }
 
 // onSliceTimer runs the slice boundary when the slice end passes outside
@@ -1115,7 +1082,7 @@ func (m *Mutex) onSliceTimer() {
 	check.Point("mu.slicetimer")
 	m.lockMu()
 	defer m.unlockMu()
-	m.timerAt = -1 // consumed; the next armSliceEnd must re-arm
+	m.timer.at = -1 // consumed; the next armSliceEnd must re-arm
 	now := monotime()
 	m.maybeReap(now)
 	owner, ok := m.acct.SliceOwner()
@@ -1141,7 +1108,7 @@ func (m *Mutex) onSliceTimer() {
 		// the held bit: after this mutate no fast acquire can land, so a
 		// held bit in the result is a holder whose release will run the
 		// boundary — fold what has accumulated and leave it to that.
-		w = m.mutate(func(x uint64) uint64 { return x | wordStale })
+		w = m.word.mutate(func(x uint64) uint64 { return x | wordStale })
 	}
 	if w&wordHeld != 0 {
 		m.fold(now)
@@ -1152,7 +1119,7 @@ func (m *Mutex) onSliceTimer() {
 		return
 	}
 	m.fold(now)
-	if t := m.loadTracer(); t != nil {
+	if t := m.tracer.load(); t != nil {
 		// The slice ran out while the owner sat outside the critical
 		// section; no release will report it, so the timer does.
 		t.OnSliceEnd(m.event(trace.KindSliceEnd, now, owner, "", 0))
@@ -1208,7 +1175,7 @@ func (m *Mutex) CheckInvariants() error {
 	if m.next == nil && len(m.parked) > 0 {
 		return fmt.Errorf("scl: %d parked waiters with an empty next slot", len(m.parked))
 	}
-	for r := m.combine.Load(); r != nil; r = r.next.Load() {
+	for r := m.combine.head.Load(); r != nil; r = r.next.Load() {
 		s := r.state.Load()
 		if s < combinePending || s > combineDone {
 			return fmt.Errorf("scl: combining request of entity %d in impossible state %d", r.h.id, s)

@@ -57,13 +57,13 @@ type RWLock struct {
 	ctrl *core.RWController
 
 	name   string
-	tracer atomic.Pointer[Tracer]
+	tracer tracerSlot
 
 	// word packs {writer-active, phase-write, waiters, phase epoch}; it
 	// carries the coordination bits while the reader count lives in the
 	// shards. The fast paths CAS it without mu; slow paths mutate it
-	// under mu with CAS loops that tolerate concurrent fast-path CASes.
-	word atomic.Uint64
+	// under mu.
+	word lockWord
 
 	waitR []rwWaiter
 	waitW []rwWaiter
@@ -74,13 +74,9 @@ type RWLock struct {
 	inactive   time.Duration
 	emptySince time.Duration
 
-	// One reusable timer drives phase-end re-evaluation; re-arming per
-	// operation would spawn a goroutine per firing (time.AfterFunc), which
-	// dominates runtime under load. Behind the lockTimer seam it is a
-	// virtual-clock timer under the deterministic checker.
-	timer      lockTimer
-	timerAt    time.Duration // absolute arm target; avoids redundant resets
-	phaseFresh bool          // no acquisition has landed yet in this slice
+	// timer drives phase-end re-evaluation (onPhaseTimer).
+	timer      boundaryTimer
+	phaseFresh bool // no acquisition has landed yet in this slice
 
 	// Usage integrals, Σ individual holds = ∫ holders(t) dt per class:
 	// every slow-path operation charges the interval since the previous
@@ -106,10 +102,10 @@ type RWLock struct {
 	readerCancels atomic.Int64
 	writerCancels atomic.Int64
 
-	// wcombine is the writer-side combining stack (RWLock.Do): a Treiber
-	// LIFO of published critical sections the active writer drains on its
-	// way out (rwcombine.go). Pushes are lock-free; pops happen under mu.
-	wcombine atomic.Pointer[rwCombineReq]
+	// wcombine is the writer-side combining engine (RWLock.Do,
+	// rwcombine.go): published critical sections the active writer
+	// drains on its way out.
+	wcombine combiner
 	// writerCombines counts closures executed through the combining path
 	// (they are also included in writerOps).
 	writerCombines atomic.Int64
@@ -262,10 +258,10 @@ func NewRWLock(readWeight, writeWeight int64, period time.Duration, opts ...Opti
 		phaseStart: now,
 	}
 	l.lastAt.Store(int64(now))
-	if o.Tracer != nil {
-		t := o.Tracer
-		l.tracer.Store(&t)
-	}
+	l.word.site = "rw.word.mutate"
+	l.wcombine = combiner{word: &l.word, busy: rwWActive, sites: &rwCombineSites}
+	l.timer.fire = l.onPhaseTimer
+	l.tracer.store(o.Tracer)
 	return l
 }
 
@@ -298,19 +294,8 @@ func (l *RWLock) SetTracer(t Tracer) {
 	l.rStart = now
 	l.wStart = now
 	l.phaseStart = now
-	if t == nil {
-		l.tracer.Store(nil)
-	} else {
-		l.tracer.Store(&t)
-	}
+	l.tracer.store(t)
 	l.unlockMu()
-}
-
-func (l *RWLock) loadTracer() Tracer {
-	if p := l.tracer.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // event assembles a trace.Event for this lock. l.mu held.
@@ -341,21 +326,6 @@ func (l *RWLock) charge(readers int64, wactive bool, now time.Duration) {
 	}
 }
 
-// mutateWord applies f to the state word with a CAS loop that tolerates
-// concurrent fast-path CASes. l.mu held. Returns the installed word.
-func (l *RWLock) mutateWord(f func(uint64) uint64) uint64 {
-	for {
-		old := l.word.Load()
-		new := f(old)
-		// The load→CAS window where a concurrent fast-path CAS may land —
-		// the interleaving the deterministic checker reorders.
-		check.Point("rw.word.mutate")
-		if old == new || l.word.CompareAndSwap(old, new) {
-			return new
-		}
-	}
-}
-
 // fastRLock is the read-slice fast path: one Add on the caller's shard,
 // no mutex, and — in real time — no clock read. Eligible only while the
 // read slice is active with no writer holding and nobody queued, and no
@@ -366,7 +336,7 @@ func (l *RWLock) mutateWord(f func(uint64) uint64) uint64 {
 // +1 before queuing). No interleaving lets a writer in on top of an
 // admitted fast reader.
 func (l *RWLock) fastRLock() bool {
-	if l.tracer.Load() != nil {
+	if l.tracer.load() != nil {
 		return false
 	}
 	if l.word.Load()&rwFastBlock != 0 {
@@ -405,7 +375,7 @@ func (l *RWLock) fastRLock() bool {
 // positive shard at all falls back to the slow path, which re-sums
 // exactly and still panics on a genuine unlock-without-lock.
 func (l *RWLock) fastRUnlock() bool {
-	if l.tracer.Load() != nil {
+	if l.tracer.load() != nil {
 		return false
 	}
 	if l.word.Load()&rwWaiters != 0 {
@@ -438,7 +408,7 @@ func (l *RWLock) fastRUnlock() bool {
 func (l *RWLock) fastWLock(now time.Duration) bool {
 	for {
 		w := l.word.Load()
-		if w&(rwWActive|rwWaiters) != 0 || w&rwPhaseWrite == 0 || l.tracer.Load() != nil {
+		if w&(rwWActive|rwWaiters) != 0 || w&rwPhaseWrite == 0 || l.tracer.load() != nil {
 			return false
 		}
 		check.Point("rw.fast.wlock")
@@ -463,18 +433,18 @@ func (l *RWLock) fastWLock(now time.Duration) bool {
 func (l *RWLock) fastWUnlock(now time.Duration) bool {
 	for {
 		w := l.word.Load()
-		if w&(rwWActive|rwWaiters) != rwWActive || w&rwPhaseWrite == 0 || l.tracer.Load() != nil {
+		if w&(rwWActive|rwWaiters) != rwWActive || w&rwPhaseWrite == 0 || l.tracer.load() != nil {
 			return false
 		}
-		if l.wcombine.Load() != nil {
+		if l.wcombine.head.Load() != nil {
 			return false
 		}
 		check.Point("rw.fast.wunlock")
 		if l.word.CompareAndSwap(w, w&^rwWActive) {
 			l.charge(0, true, now)
 			l.lastFast.Store(int64(now))
-			if l.wcombine.Load() != nil {
-				l.wakeWCombiners()
+			if l.wcombine.head.Load() != nil {
+				l.wcombine.wakeIdle()
 			}
 			return true
 		}
@@ -544,7 +514,7 @@ func (l *RWLock) rlockSlow() (chan struct{}, time.Duration) {
 		}
 		l.shards[rwShardIndex()].count.Add(1)
 		l.readerOps.Add(1)
-		if t := l.loadTracer(); t != nil {
+		if t := l.tracer.load(); t != nil {
 			t.OnAcquire(l.event(trace.KindAcquire, now, trace.EntityReaders, 0))
 		}
 		l.unlockMu()
@@ -552,7 +522,7 @@ func (l *RWLock) rlockSlow() (chan struct{}, time.Duration) {
 	}
 	ch := make(chan struct{}, 1)
 	l.waitR = append(l.waitR, rwWaiter{ch: ch, since: now, shard: rwShardIndex()})
-	l.mutateWord(func(x uint64) uint64 { return x | rwWaiters })
+	l.word.mutate(func(x uint64) uint64 { return x | rwWaiters })
 	l.armPhaseTimer()
 	l.unlockMu()
 	return ch, now
@@ -574,7 +544,7 @@ func (l *RWLock) RUnlock() {
 	w := l.word.Load()
 	l.charge(sum, w&rwWActive != 0, now)
 	l.decReaderLocked()
-	if t := l.loadTracer(); t != nil {
+	if t := l.tracer.load(); t != nil {
 		var busy time.Duration
 		if sum == 1 {
 			busy = now - l.rStart // the union of the overlapping reads
@@ -595,7 +565,7 @@ func (l *RWLock) quiescentSumLocked() int64 {
 	if sum > 0 {
 		return sum
 	}
-	l.mutateWord(func(x uint64) uint64 { return x | rwWaiters })
+	l.word.mutate(func(x uint64) uint64 { return x | rwWaiters })
 	sum = l.readerSum()
 	l.syncWaitersBit()
 	return sum
@@ -655,22 +625,31 @@ func (l *RWLock) wlockSlow() (chan struct{}, time.Duration) {
 	l.advanceLocked(now)
 	w := l.word.Load()
 	// During the write phase the phase bit blocks fast readers, so a
-	// zero sweep is definitive: no reader holds and none can enter.
+	// zero sweep is definitive: no reader holds and none can enter. The
+	// writer-active bit goes up by a CAS from the observed word, so a
+	// lone writer's fastWLock landing in between fails it (and this
+	// writer queues) instead of being silently joined.
 	if l.ctrl.Phase() == core.PhaseWrite && w&rwWActive == 0 && l.readerSum() == 0 {
-		l.classEntered(now)
-		l.charge(0, false, now)
-		l.mutateWord(func(x uint64) uint64 { return x | rwWActive })
-		l.writerOps.Add(1)
-		l.wStart = now
-		if t := l.loadTracer(); t != nil {
-			t.OnAcquire(l.event(trace.KindAcquire, now, trace.EntityWriters, 0))
+		check.Point("rw.wlock.inline")
+		if l.word.CompareAndSwap(w, w|rwWActive) {
+			l.classEntered(now)
+			l.charge(0, false, now)
+			l.writerOps.Add(1)
+			l.wStart = now
+			if t := l.tracer.load(); t != nil {
+				t.OnAcquire(l.event(trace.KindAcquire, now, trace.EntityWriters, 0))
+			}
+			l.unlockMu()
+			return nil, now
 		}
-		l.unlockMu()
-		return nil, now
 	}
 	ch := make(chan struct{}, 1)
 	l.waitW = append(l.waitW, rwWaiter{ch: ch, since: now})
-	l.mutateWord(func(x uint64) uint64 { return x | rwWaiters })
+	l.word.mutate(func(x uint64) uint64 { return x | rwWaiters })
+	// A fastWUnlock may have landed between the observation above and the
+	// waiters bit going up; no phase timer is armed for a same-class
+	// waiter, so re-run the grant now that the fast path stands down.
+	l.grantLocked(now)
 	l.armPhaseTimer()
 	l.unlockMu()
 	return ch, now
@@ -701,7 +680,7 @@ func (l *RWLock) abandonWaiter(queue *[]rwWaiter, ch chan struct{}, entity int64
 		sum := l.readerSum()
 		l.charge(sum, false, now)
 		l.decReaderLocked()
-		if t := l.loadTracer(); t != nil {
+		if t := l.tracer.load(); t != nil {
 			var busy time.Duration
 			if sum == 1 {
 				busy = now - l.rStart // the union of the overlapping reads
@@ -710,8 +689,8 @@ func (l *RWLock) abandonWaiter(queue *[]rwWaiter, ch chan struct{}, entity int64
 		}
 	} else {
 		l.charge(0, true, now)
-		l.mutateWord(func(x uint64) uint64 { return x &^ rwWActive })
-		if t := l.loadTracer(); t != nil {
+		l.word.mutate(func(x uint64) uint64 { return x &^ rwWActive })
+		if t := l.tracer.load(); t != nil {
 			t.OnRelease(l.event(trace.KindRelease, now, entity, now-l.wStart))
 		}
 	}
@@ -720,7 +699,7 @@ func (l *RWLock) abandonWaiter(queue *[]rwWaiter, ch chan struct{}, entity int64
 	// The writer branch cleared writer-active without a drain; wake any
 	// pending Do publishers so they withdraw to the classic path (no-op
 	// unless the bit is actually clear — advance may have re-granted).
-	l.wakeWCombiners()
+	l.wcombine.wakeIdle()
 }
 
 // noteAbandonLocked lands a cancellation in the class counters and the
@@ -734,7 +713,7 @@ func (l *RWLock) noteAbandonLocked(entity int64, now, waited time.Duration) {
 	} else {
 		l.writerCancels.Add(1)
 	}
-	if t := l.loadTracer(); t != nil {
+	if t := l.tracer.load(); t != nil {
 		t.OnAbandon(l.event(trace.KindAbandon, now, entity, waited))
 	}
 }
@@ -754,20 +733,20 @@ func (l *RWLock) WUnlock() {
 		panic("scl: WUnlock without WLock")
 	}
 	l.charge(0, true, now)
-	if t := l.loadTracer(); t != nil {
+	if t := l.tracer.load(); t != nil {
 		t.OnRelease(l.event(trace.KindRelease, now, trace.EntityWriters, now-l.wStart))
 	}
-	if l.wcombine.Load() != nil {
+	if l.wcombine.head.Load() != nil {
 		// Drain published writer sections while the writer-active bit is
 		// still ours: the closures run under full exclusion, and the
 		// follow-up charge books the drain interval as writer hold.
 		now = l.drainWCombine(now)
 		l.charge(0, true, now)
 	}
-	l.mutateWord(func(x uint64) uint64 { return x &^ rwWActive })
+	l.word.mutate(func(x uint64) uint64 { return x &^ rwWActive })
 	l.advanceLocked(now)
 	l.unlockMu()
-	l.wakeWCombiners()
+	l.wcombine.wakeIdle()
 }
 
 // creditFastActivity replays the slice-clock restarts that fast-path
@@ -823,7 +802,7 @@ func (l *RWLock) advanceLocked(now time.Duration) {
 	before := l.ctrl.Phase()
 	if l.ctrl.MaybeSwitch(now, curWants, otherWants) != before {
 		l.phaseFresh = true
-		if t := l.loadTracer(); t != nil {
+		if t := l.tracer.load(); t != nil {
 			out := trace.EntityReaders
 			if before == core.PhaseWrite {
 				out = trace.EntityWriters
@@ -831,7 +810,7 @@ func (l *RWLock) advanceLocked(now time.Duration) {
 			t.OnSliceEnd(l.event(trace.KindSliceEnd, now, out, now-l.phaseStart))
 		}
 		l.phaseStart = now
-		l.mutateWord(func(x uint64) uint64 {
+		l.word.mutate(func(x uint64) uint64 {
 			x = x&^rwEpoch | (x+1)&rwEpoch // flip advances the epoch
 			if l.ctrl.Phase() == core.PhaseWrite {
 				return x | rwPhaseWrite
@@ -903,7 +882,7 @@ func (l *RWLock) grantLocked(now time.Duration) {
 		if sum == 0 {
 			l.rStart = now
 		}
-		t := l.loadTracer()
+		t := l.tracer.load()
 		for _, wt := range l.waitR {
 			l.shards[wt.shard].count.Add(1)
 			l.readerOps.Add(1)
@@ -932,10 +911,10 @@ func (l *RWLock) grantLocked(now time.Duration) {
 	l.charge(0, false, now)
 	wt := l.waitW[0]
 	l.waitW = l.waitW[1:]
-	l.mutateWord(func(x uint64) uint64 { return x | rwWActive })
+	l.word.mutate(func(x uint64) uint64 { return x | rwWActive })
 	l.writerOps.Add(1)
 	l.wStart = now
-	if t := l.loadTracer(); t != nil {
+	if t := l.tracer.load(); t != nil {
 		t.OnHandoff(l.event(trace.KindHandoff, now, trace.EntityWriters, 0))
 		t.OnAcquire(l.event(trace.KindAcquire, now, trace.EntityWriters, now-wt.since))
 	}
@@ -944,13 +923,7 @@ func (l *RWLock) grantLocked(now time.Duration) {
 
 // syncWaitersBit reconciles the waiters bit with the queues. l.mu held.
 func (l *RWLock) syncWaitersBit() {
-	empty := len(l.waitR) == 0 && len(l.waitW) == 0
-	l.mutateWord(func(x uint64) uint64 {
-		if empty {
-			return x &^ rwWaiters
-		}
-		return x | rwWaiters
-	})
+	l.word.setBit(rwWaiters, len(l.waitR) > 0 || len(l.waitW) > 0)
 }
 
 // armPhaseTimer schedules a phase re-evaluation at the current slice's end
@@ -966,20 +939,7 @@ func (l *RWLock) armPhaseTimer() {
 	if !otherWaits {
 		return
 	}
-	end := l.ctrl.PhaseEnd()
-	if l.timerAt == end {
-		return // already armed for this slice end
-	}
-	l.timerAt = end
-	delay := end - monotime()
-	if delay < 0 {
-		delay = 0
-	}
-	if l.timer == nil {
-		l.timer = startLockTimer(delay, l.onPhaseTimer)
-		return
-	}
-	l.timer.Reset(delay)
+	l.timer.arm(l.ctrl.PhaseEnd())
 }
 
 // onPhaseTimer re-evaluates the phase when a slice end passes without a
@@ -988,7 +948,7 @@ func (l *RWLock) onPhaseTimer() {
 	check.Point("rw.phasetimer")
 	l.lockMu()
 	defer l.unlockMu()
-	l.timerAt = -1 // consumed; the next armPhaseTimer must re-arm
+	l.timer.at = -1 // consumed; the next armPhaseTimer must re-arm
 	l.advanceLocked(monotime())
 }
 
@@ -1032,7 +992,7 @@ func (l *RWLock) CheckInvariants() error {
 	// The combining stack holds only unresolved requests: claimed ones
 	// left it with the drained batch, and done is stored only after
 	// removal, so either state reachable here means corrupted hand-off.
-	for r := l.wcombine.Load(); r != nil; r = r.next.Load() {
+	for r := l.wcombine.head.Load(); r != nil; r = r.next.Load() {
 		switch s := r.state.Load(); s {
 		case combinePending, combineCancelled:
 		default:
