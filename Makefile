@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check build build-matrix fmt-check vet test race race-debug review-gate docs-check check-explore oracle scenarios bench bench-all
+.PHONY: check build build-matrix fmt-check vet test race race-debug bench-module review-gate docs-check check-explore oracle scenarios bench bench-all
 
-check: build build-matrix fmt-check vet race race-debug review-gate docs-check
+check: build build-matrix fmt-check vet race race-debug bench-module review-gate docs-check
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,13 @@ race:
 # publisher's wait (combineSpinBudget: park at once, or spin first).
 race-debug:
 	$(GO) test -race -tags scldebug -cpu 1,2 .
+
+# The end-to-end benchmark (bench/, its own module) under the race
+# detector: its smoke test runs sclload's correctness gate against every
+# workload — mutual-exclusion probes, exactly-once Do, CheckInvariants on
+# every lock — so the gate covers the real locks' release paths end to end.
+bench-module:
+	cd bench && $(GO) test -race ./...
 
 # Review scaffolding (REVIEW-marked probes, temporary assertions) may live
 # in test files only; fail the gate if any marker leaks into production

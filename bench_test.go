@@ -7,6 +7,7 @@ package scl_test
 // `go test -bench=.` regenerates the whole evaluation in miniature.
 
 import (
+	"context"
 	"runtime"
 	"strconv"
 	"sync"
@@ -349,6 +350,36 @@ func BenchmarkMutexOwnerReacquire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Lock()
 		h.Unlock()
+	}
+}
+
+// BenchmarkMutexOwnerReacquireQueued is BenchmarkMutexOwnerReacquire
+// with another entity's LockContext waiter parked behind the hour-long
+// slice for the whole loop. The foreign waiter waits out the slice, so the
+// owner's re-acquires and releases stay on the fast path; only a queued
+// sibling of the owner would send its releases to the slow path.
+func BenchmarkMutexOwnerReacquireQueued(b *testing.B) {
+	m := scl.NewMutex(scl.Options{Slice: time.Hour})
+	h := m.Register()
+	other := m.Register()
+	h.Lock()
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- other.LockContext(ctx) }()
+	for scl.QueueLen(m) == 0 {
+		time.Sleep(10 * time.Microsecond)
+	}
+	h.Unlock()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Lock()
+		h.Unlock()
+	}
+	b.StopTimer()
+	cancel()
+	if err := <-errc; err == nil {
+		b.Fatal("the foreign waiter was granted inside the owner's slice")
 	}
 }
 

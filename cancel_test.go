@@ -48,13 +48,7 @@ func TestLockContextCancelWhileParked(t *testing.T) {
 	go func() { errc <- b.LockContext(ctx) }()
 
 	// Wait until B is actually parked before cancelling.
-	deadline := time.Now().Add(5 * time.Second)
-	for m.word.Load()&wordWaiters == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never parked")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	waitQueued(t, m, 1)
 	cancel()
 	select {
 	case err := <-errc:
@@ -223,7 +217,7 @@ func TestLockContextGrantRace(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		errc := make(chan error, 1)
 		go func() { errc <- b.LockContext(ctx) }()
-		for m.word.Load()&wordWaiters == 0 {
+		for QueueLen(m) == 0 {
 			time.Sleep(10 * time.Microsecond)
 		}
 		// Release and cancel concurrently: the grant to B races its abandon.

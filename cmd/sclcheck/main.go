@@ -32,7 +32,7 @@ import (
 func main() {
 	var (
 		mode      = flag.String("mode", "explore", "explore, replay, dfs, or oracle")
-		workload  = flag.String("workload", "mutex-churn", "mutex-churn, mutex-contend, mutex-combine, rw-churn, rw-shard, rw-writers, rw-writers-do, or manager-churn")
+		workload  = flag.String("workload", "mutex-churn", "mutex-churn, mutex-contend, mutex-combine, mutex-siblings, rw-churn, rw-shard, rw-writers, rw-writers-do, or manager-churn")
 		schedules = flag.Int("schedules", 20000, "exploration budget (explore mode)")
 		seed      = flag.Int64("seed", 1, "base seed (explore) or schedule seed (replay)")
 		strategy  = flag.String("strategy", "pct", "schedule chooser for explore mode: pct or random")
@@ -102,6 +102,8 @@ func pick(name string) check.Workload {
 		return workloads.MutexContend(workloads.ContendOpts{Seed: 1})
 	case "mutex-combine":
 		return workloads.MutexCombine(workloads.CombineOpts{Seed: 1})
+	case "mutex-siblings":
+		return workloads.MutexContend(workloads.ContendOpts{Entities: 2, Siblings: 1, Hold: 500 * time.Microsecond, Think: 500 * time.Microsecond})
 	case "rw-churn":
 		return workloads.RWChurn(workloads.RWOpts{Seed: 1, Cancel: true})
 	case "rw-shard":

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"scl/internal/check"
 )
 
 // Tests covering the less-travelled paths: panic branches of the baseline
@@ -62,15 +64,25 @@ func TestRegisterNiceWeights(t *testing.T) {
 }
 
 func TestStatsJainLOT(t *testing.T) {
+	// The holds run on the checker's virtual clock, so each lasts exactly
+	// 2ms however loaded the machine is.
+	sched := check.NewSched(check.NewFirstChooser(), 0)
+	check.Install(sched)
+	defer check.Uninstall(sched)
 	m := NewMutex(Options{})
 	a := m.Register()
 	b := m.Register()
-	a.Lock()
-	time.Sleep(2 * time.Millisecond)
-	a.Unlock()
-	b.Lock()
-	time.Sleep(2 * time.Millisecond)
-	b.Unlock()
+	sched.Go("holder", func() {
+		a.Lock()
+		check.Sleep(2 * time.Millisecond)
+		a.Unlock()
+		b.Lock()
+		check.Sleep(2 * time.Millisecond)
+		b.Unlock()
+	})
+	if res := sched.Run(); res.Failure != nil {
+		t.Fatal(res.Failure)
+	}
 	s := m.Stats()
 	if j := s.JainLOT(a.ID(), b.ID()); j < 0.9 {
 		t.Fatalf("JainLOT = %.3f for symmetric usage", j)

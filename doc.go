@@ -85,28 +85,35 @@
 //
 //	bit 63  held      — the lock is held
 //	bit 62  transfer  — an ownership grant to a waiter is in flight
-//	bit 61  waiters   — the waiter queue is non-empty
+//	bit 61  waiters   — a waiter of the slice owner's own entity is queued
 //	bit 60  stale     — the slice expired; the fast path stands down
 //	bits 0–59         — slice-owner entity id + 1 (0 = no owner)
 //
 // While the word names the caller's entity as the live slice owner, Lock
 // and Unlock are one compare-and-swap each — no internal mutex, no clock
-// read. Accounting is deferred, as in the paper: a per-slice operation
-// counter plus the wall-clock window of the fast regime are folded into
-// the accounting engine (core.Accountant.FoldSliceUsage) and the stats at
-// slice boundaries, handoffs, and Stats snapshots. During its slice the
-// owner is charged the slice's wall-clock window — the lock opportunity
-// it denies everyone else. Slice expiry is enforced by the slice timer,
-// which sets the stale bit so the owner's next operation takes the slow
-// path and runs the boundary (transfer, penalty, events). Mapping to the
-// paper's Figure 3:
+// read — also while other entities' waiters are queued: they wait for the
+// slice boundary, which the slice timer runs, so the owner's release has
+// nothing to decide for them. Only a queued sibling handle of the owner
+// (the same entity) raises the waiters bit; it sends the owner's release
+// to the slow path, which hands the sibling the lock within the slice. A
+// k-SCL word carries no owner bits and never raises it. Accounting is
+// deferred, as in the paper: a per-slice operation counter plus the
+// wall-clock window of the fast regime are folded into the accounting
+// engine (core.Accountant.FoldSliceUsage) and the stats at slice
+// boundaries, handoffs, and Stats snapshots. During its slice the owner
+// is charged the slice's wall-clock window — the lock opportunity it
+// denies everyone else. Slice expiry is enforced by the slice timer: it
+// hands a free lock to the next waiter, or sets the stale bit so the
+// holder's release takes the slow path and runs the boundary (transfer,
+// penalty, events). Mapping to the paper's Figure 3:
 //
 //   - steps 1–3 (first acquisition, slice start) — Mutex.Lock slow path,
 //     startSlice mirrors ownership into the state word;
 //   - steps 4–6 (owner re-acquires within the slice) — fastLock and
 //     fastUnlock, one CAS each;
-//   - step 7 (slice expires) — onSliceTimer stale-marks the word, or the
-//     overrunning release observes the expiry directly;
+//   - step 7 (slice expires) — onSliceTimer transfers a free lock or
+//     stale-marks the word, and a slow-path release past the slice end
+//     observes the expiry directly;
 //   - steps 8–9 (transfer to the next waiter, penalty for the over-user) —
 //     transferLocked and Accountant.OnRelease, unchanged slow path.
 //

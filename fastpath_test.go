@@ -1,6 +1,7 @@
 package scl
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -180,13 +181,7 @@ func TestSiblingFastLockShutOutAtSliceEnd(t *testing.T) {
 		b.Unlock()
 		close(done)
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for m.word.Load()&wordWaiters == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("competitor never queued")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	waitQueued(t, m, 1)
 	time.Sleep(3 * time.Millisecond) // past the slice end
 
 	var fast bool
@@ -203,6 +198,144 @@ func TestSiblingFastLockShutOutAtSliceEnd(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("queued competitor never granted")
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitQueued polls until at least n waiters are queued on m.
+func waitQueued(t *testing.T, m *Mutex, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for QueueLen(m) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiter(s) never queued", n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// parkForeign queues a LockContext waiter of a fresh entity behind m's
+// current holder and returns its cancel func and result channel.
+func parkForeign(t *testing.T, m *Mutex) (context.CancelFunc, <-chan error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	b := m.Register()
+	go func() {
+		err := b.LockContext(ctx)
+		if err == nil {
+			b.Unlock()
+		}
+		errc <- err
+	}()
+	waitQueued(t, m, 1)
+	return cancel, errc
+}
+
+// TestOwnerFastReleaseWithForeignWaiter: another entity's waiter, parked
+// behind an hour-long slice, leaves the waiters bit clear, so the owner's
+// re-acquires and releases all stay on the fast path — none folds the
+// fast-op counter through the slow release.
+func TestOwnerFastReleaseWithForeignWaiter(t *testing.T) {
+	m := NewMutex(Options{Slice: time.Hour})
+	a := m.Register()
+	a.Lock()
+	cancel, errc := parkForeign(t, m)
+	a.Unlock()
+	if w := m.word.Load(); w&wordWaiters != 0 {
+		t.Fatalf("waiters bit set for another entity's waiter (word %#x)", w)
+	}
+	const n = 100
+	for i := 0; i < n; i++ {
+		a.Lock()
+		a.Unlock()
+	}
+	if got := m.fastOps.Load(); got != n {
+		t.Fatalf("fastOps = %d after %d owner re-acquires, want %d (a release went slow)", got, n, n)
+	}
+	if !a.TryLock() {
+		t.Fatal("the slice owner's TryLock failed behind another entity's waiter")
+	}
+	a.Unlock()
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if err := <-errc; err != context.Canceled {
+		t.Fatalf("foreign waiter: %v, want context.Canceled", err)
+	}
+}
+
+// TestSiblingGrantedAtOwnerFastUnlock: with another entity's waiter still
+// parked, a queued sibling of the owner raises the waiters bit, so the
+// owner's fast-acquired Unlock hands the sibling the lock within the
+// slice instead of leaving it to wait out the hour.
+func TestSiblingGrantedAtOwnerFastUnlock(t *testing.T) {
+	m := NewMutex(Options{Slice: time.Hour})
+	a := m.Register()
+	sib := a.Sibling()
+	a.Lock()
+	cancel, errc := parkForeign(t, m)
+	defer func() {
+		cancel()
+		<-errc
+	}()
+	a.Unlock()
+	a.Lock()
+	if !m.fastHeld {
+		t.Fatal("owner re-acquire did not take the fast path")
+	}
+	granted := make(chan struct{})
+	go func() {
+		sib.Lock()
+		close(granted)
+	}()
+	waitQueued(t, m, 2)
+	if w := m.word.Load(); w&wordWaiters == 0 {
+		t.Fatalf("waiters bit clear with the owner's sibling queued (word %#x)", w)
+	}
+	a.Unlock()
+	select {
+	case <-granted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("queued sibling not granted at the owner's Unlock")
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	sib.Unlock()
+}
+
+// TestForeignWaiterGrantedAtSliceEnd: an owner that keeps re-acquiring on
+// the fast path never releases through the slow path, so the slice timer
+// must end its slice and grant the parked foreign waiter.
+func TestForeignWaiterGrantedAtSliceEnd(t *testing.T) {
+	m := NewMutex(Options{Slice: 2 * time.Millisecond})
+	a := m.Register()
+	b := m.Register()
+	a.Lock()
+	granted := make(chan struct{})
+	go func() {
+		b.Lock()
+		close(granted)
+		b.Unlock()
+	}()
+	waitQueued(t, m, 1)
+	a.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for done := false; !done; {
+		a.Lock()
+		a.Unlock()
+		select {
+		case <-granted:
+			done = true
+		default:
+			if time.Now().After(deadline) {
+				t.Fatal("foreign waiter not granted at the slice end")
+			}
+		}
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"scl/internal/check"
 	"scl/internal/check/workloads"
@@ -22,12 +23,17 @@ var (
 	seedFlag = flag.Int64("check.seed", 0,
 		"replay this schedule seed against the selected workload instead of exploring")
 	workloadFlag = flag.String("check.workload", "mutex-churn",
-		"workload for -check.seed replay: mutex-churn, mutex-contend, mutex-combine, rw-churn, rw-shard, rw-writers, rw-writers-do, manager-churn, scenario")
+		"workload for -check.seed replay: mutex-churn, mutex-contend, mutex-combine, mutex-siblings, rw-churn, rw-shard, rw-writers, rw-writers-do, manager-churn, scenario")
 	schedulesFlag = flag.Int("check.schedules", 0,
 		"override the exploration budget (number of schedules)")
 	scenarioFlag = flag.String("check.scenario", "",
 		"scenario file for -check.workload=scenario (bare names resolve in ../scenario/testdata)")
 )
+
+// siblingOpts configures the mutex-siblings workload: one entity locking
+// through two sibling handles beside one foreign entity, with holds short
+// enough to fit several into a slice.
+var siblingOpts = workloads.ContendOpts{Entities: 2, Siblings: 1, Hold: 500 * time.Microsecond, Think: 500 * time.Microsecond}
 
 // scenarioWorkload compiles a scenario file into an explorable
 // workload (see scenario.Workload).
@@ -55,6 +61,8 @@ func namedWorkload(t *testing.T, name string) check.Workload {
 		return workloads.MutexContend(workloads.ContendOpts{Seed: 1})
 	case "mutex-combine":
 		return workloads.MutexCombine(workloads.CombineOpts{Seed: 1})
+	case "mutex-siblings":
+		return workloads.MutexContend(siblingOpts)
 	case "rw-churn":
 		return workloads.RWChurn(workloads.RWOpts{Seed: 1, Cancel: true})
 	case "rw-shard":
@@ -303,6 +311,30 @@ func TestExploreRWWriters(t *testing.T) {
 				t.Logf("%d runs, %d distinct schedules", sum.Runs, sum.Distinct)
 			})
 		}
+	}
+}
+
+// TestExploreMutexSiblings explores one entity locking through two sibling
+// handles beside a foreign entity, in both explorer modes: the owner's
+// release must serve a queued sibling within the slice, leave foreign
+// waiters to the slice end, and keep the waiters bit exact throughout.
+func TestExploreMutexSiblings(t *testing.T) {
+	if *seedFlag != 0 {
+		t.Skip("replay handled by TestExploreMutexChurn")
+	}
+	n := 5000
+	if testing.Short() {
+		n = 500
+	}
+	w := workloads.MutexContend(siblingOpts)
+	for _, mode := range []string{"random", "pct"} {
+		t.Run(mode, func(t *testing.T) {
+			sum := check.Explore(check.Opts{Schedules: n, Seed: 15, Mode: mode, Depth: 3}, w)
+			if sum.Failure != nil {
+				t.Fatalf("exploration failed (replay with -check.workload=%s):\n%v", w.Name, sum.Failure)
+			}
+			t.Logf("%d runs, %d distinct schedules", sum.Runs, sum.Distinct)
+		})
 	}
 }
 

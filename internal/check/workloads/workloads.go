@@ -194,6 +194,13 @@ type ContendOpts struct {
 	Slice    time.Duration
 	Hold     time.Duration // fixed critical-section length
 	Seed     int64
+	// Siblings adds that many sibling handles (Handle.Sibling) of the
+	// first entity, each running the same loop: the workload is then
+	// "mutex-siblings".
+	Siblings int
+	// Think is an off-lock pause after every second acquisition, so a
+	// handle also meets the lock idle inside its entity's slice.
+	Think time.Duration
 }
 
 // MutexContend is the opportunity-imbalance workload: equal-weight
@@ -205,7 +212,14 @@ type ContendOpts struct {
 // below is deliberately generous (it must hold on EVERY schedule,
 // including adversarial ones); it still catches unbounded starvation
 // and lost wakeups, which show up as waits growing with the op count
-// or as deadlocks.
+// or as deadlocks. Lock invariants are checked after every operation
+// and full teardown once every handle has closed.
+//
+// With Siblings, the first entity locks through several handles: the
+// slice owner's fast release then races intra-class handoffs to a queued
+// sibling and the slice-end transfer to other entities' waiters, and
+// CheckInvariants checks the waiters bit exactly (set only while a waiter
+// of the owner's entity is queued).
 func MutexContend(o ContendOpts) check.Workload {
 	if o.Entities <= 0 {
 		o.Entities = 3
@@ -219,22 +233,32 @@ func MutexContend(o ContendOpts) check.Workload {
 	if o.Hold == 0 {
 		o.Hold = time.Millisecond
 	}
-	bound := time.Duration(6*o.Entities) * (o.Slice + o.Hold)
+	name := "mutex-contend"
+	if o.Siblings > 0 {
+		name = "mutex-siblings"
+	}
+	bound := time.Duration(6*(o.Entities+o.Siblings)) * (o.Slice + o.Hold)
 	var m *scl.Mutex
 	return check.Workload{
-		Name: "mutex-contend",
+		Name: name,
 		Setup: func(s *check.Sched) {
 			m = scl.NewMutex(scl.Options{Slice: o.Slice})
 			held := new(int)
+			var hs []*scl.Handle
 			for e := 0; e < o.Entities; e++ {
-				h := m.Register()
-				s.Go(fmt.Sprintf("e%d", e), func() {
-					for i := 0; i < o.Ops; i++ {
+				hs = append(hs, m.Register())
+			}
+			for i := 0; i < o.Siblings; i++ {
+				hs = append(hs, hs[0].Sibling())
+			}
+			for i, h := range hs {
+				s.Go(fmt.Sprintf("h%d", i), func() {
+					for op := 0; op < o.Ops; op++ {
 						t0, _ := check.Now()
 						h.Lock()
 						t1, _ := check.Now()
 						if wait := t1 - t0; wait > bound {
-							s.Failf("opportunity-imbalance bound exceeded: op %d waited %v (bound %v)", i, wait, bound)
+							s.Failf("opportunity-imbalance bound exceeded: op %d waited %v (bound %v)", op, wait, bound)
 						}
 						*held++
 						if *held != 1 {
@@ -243,12 +267,26 @@ func MutexContend(o ContendOpts) check.Workload {
 						check.Sleep(o.Hold)
 						*held--
 						h.Unlock()
+						if err := m.CheckInvariants(); err != nil {
+							s.Failf("invariants broken after op %d: %v", op, err)
+						}
+						if op%2 == 1 && o.Think > 0 {
+							check.Sleep(o.Think)
+						}
 					}
 					h.Close()
 				})
 			}
 		},
-		Validate: func() error { return m.CheckInvariants() },
+		Validate: func() error {
+			if err := m.CheckInvariants(); err != nil {
+				return err
+			}
+			if n := m.Entities(); n != 0 {
+				return fmt.Errorf("%d entities still registered after all handles closed", n)
+			}
+			return nil
+		},
 	}
 }
 

@@ -84,7 +84,7 @@ type Mutex struct {
 const (
 	wordHeld     = 1 << 63 // the lock is held
 	wordTransfer = 1 << 62 // a grant to the head waiter is in flight
-	wordWaiters  = 1 << 61 // the waiter queue is non-empty
+	wordWaiters  = 1 << 61 // a waiter of the owner bits' entity is queued
 	wordStale    = 1 << 60 // the slice expired; fast path must stand down
 	wordOwner    = 1<<60 - 1
 )
@@ -217,7 +217,7 @@ func (h *Handle) Close() {
 	owner, owned := m.acct.SliceOwner()
 	if owned && owner == h.id {
 		m.fastSince = -1
-		m.word.mutate(func(w uint64) uint64 { return w &^ (wordOwner | wordStale) })
+		m.word.mutate(func(w uint64) uint64 { return w &^ (wordOwner | wordWaiters | wordStale) })
 	}
 	m.acct.Unregister(h.id)
 	m.debugCheckBooks()
@@ -249,7 +249,7 @@ func (m *Mutex) dropGhostLocked(id core.ID, now time.Duration) {
 	if w := m.word.Load(); w&wordHeld == 0 && w&wordOwner == ownerBits(id) {
 		m.fold(now)
 		m.fastSince = -1
-		m.word.mutate(func(x uint64) uint64 { return x &^ (wordOwner | wordStale) })
+		m.word.mutate(func(x uint64) uint64 { return x &^ (wordOwner | wordWaiters | wordStale) })
 		ownedSlice = true
 	}
 	m.acct.Unregister(id)
@@ -389,11 +389,14 @@ func (m *Mutex) fastLock(h *Handle) bool {
 	return true
 }
 
-// fastUnlock releases a fast-path hold: one CAS, provided no waiter
-// queued meanwhile (waiters need the slow path's handoff logic) and the
-// slice was not marked stale by the timer. All holder-owned bookkeeping
-// (csStart, fastHeld) happens before the release CAS — after it the next
-// holder owns those fields.
+// fastUnlock releases a fast-path hold: one CAS, provided no waiter of
+// the owner's own entity queued meanwhile (a sibling needs the slow path's
+// intra-class handoff; other entities' waiters wait out the slice, which
+// the slice timer ends) and the slice was not marked stale by the timer.
+// A release through another entity's handle fails the CAS and reaches the
+// slow path's misuse check. All holder-owned bookkeeping (csStart,
+// fastHeld) happens before the release CAS — after it the next holder
+// owns those fields.
 func (m *Mutex) fastUnlock(h *Handle) bool {
 	if !m.fastHeld {
 		return false
@@ -522,7 +525,7 @@ func (m *Mutex) lockSlow(h *Handle, ctx context.Context) error {
 	} else {
 		m.parked = append(m.parked, w)
 	}
-	m.word.mutate(func(x uint64) uint64 { return x | wordWaiters })
+	m.syncWaitersBit()
 	if head {
 		m.armSliceEnd()
 	}
@@ -627,7 +630,7 @@ func (m *Mutex) regrantLocked(w *waiter, now time.Duration) {
 	// Nobody left to grant to: retire the transfer and clear the expired
 	// slice in one atomic step, as transferLocked does for an empty queue.
 	m.acct.ClearSlice()
-	m.word.mutate(func(x uint64) uint64 { return x &^ (wordTransfer | wordOwner | wordStale) })
+	m.word.mutate(func(x uint64) uint64 { return x &^ (wordTransfer | wordOwner | wordWaiters | wordStale) })
 }
 
 // noteAbandon records a cancelled acquisition that never queued (a ban
@@ -654,12 +657,14 @@ func (m *Mutex) noteAbandonLocked(h *Handle, now, reqAt time.Duration) {
 
 // TryLock attempts to acquire the mutex without blocking and reports
 // whether it succeeded. It fails when the handle's entity is banned, the
-// lock is held (or a grant is in flight), or other entities are queued —
-// a waiter-respecting analogue of sync.Mutex.TryLock. Like Lock, the
-// slice owner's re-acquisition is a single CAS.
+// lock is held (or a grant is in flight), another entity owns the live
+// slice, or waiters are queued — a waiter-respecting analogue of
+// sync.Mutex.TryLock. The one exception is the live slice's owner: as in
+// Lock, it takes the free lock with a single CAS ahead of other entities'
+// waiters, which wait out its slice.
 func (h *Handle) TryLock() bool {
 	m := h.m
-	// Owner reacquire with nothing queued: pure fast path.
+	// Owner reacquire with no sibling queued: pure fast path.
 	if m.word.Load() == ownerBits(h.id) && m.fastLock(h) {
 		return true
 	}
@@ -716,7 +721,8 @@ func (m *Mutex) startSlice(id core.ID, now time.Duration) {
 	m.acct.StartSlice(id, now)
 	if m.fastOK {
 		m.word.mutate(func(w uint64) uint64 {
-			return (w &^ (wordOwner | wordStale)) | ownerBits(id)
+			w = w&^(wordOwner|wordWaiters|wordStale) | ownerBits(id)
+			return w | m.waitersBit(w)
 		})
 	}
 	m.armSliceEnd()
@@ -853,12 +859,39 @@ func (m *Mutex) promoteHead() {
 
 // syncWaitersBit reconciles the waiters bit with the queue. m.mu held.
 func (m *Mutex) syncWaitersBit() {
-	m.word.setBit(wordWaiters, m.next != nil || len(m.parked) > 0)
+	m.word.setBit(wordWaiters, m.waitersBit(m.word.Load()) != 0)
+}
+
+// waitersBit is the waiters bit state word w must carry: wordWaiters when w
+// names a slice owner and a waiter of that entity (a sibling handle) is
+// queued, else 0. Only that waiter needs the owner's release on the slow
+// path, which hands it the lock within the slice (takeClassWaiter). Other
+// entities' waiters wait out the slice, and the slice timer ends it, so
+// the owner's fast release stays one CAS while they are queued. A k-SCL
+// word carries no owner bits and never sets the bit. m.mu held.
+func (m *Mutex) waitersBit(w uint64) uint64 {
+	owner := w & wordOwner
+	if owner == 0 {
+		return 0
+	}
+	if m.next != nil && ownerBits(m.next.h.id) == owner {
+		return wordWaiters
+	}
+	for _, p := range m.parked {
+		if ownerBits(p.h.id) == owner {
+			return wordWaiters
+		}
+	}
+	return 0
 }
 
 // Unlock releases the mutex. If the lock slice has expired, ownership
 // transfers to the head waiter and the accounting engine may ban this
 // entity until others have had their proportional lock opportunity.
+//
+// The handle's entity must hold the lock; Unlock through any other
+// entity's handle panics. A sibling of the holder (Sibling) is the same
+// entity, so it may release a hold its sibling took.
 func (h *Handle) Unlock() {
 	m := h.m
 	if m.fastUnlock(h) {
@@ -878,11 +911,16 @@ func (m *Mutex) unlockSlow(h *Handle) {
 	// self-serve; runs before unlockMu (harmless — it only reads atomics
 	// and sends non-blocking signals) on every exit path below.
 	defer m.combine.wakeIdle()
-	if m.word.Load()&wordHeld == 0 {
+	word := m.word.Load()
+	if word&wordHeld == 0 {
 		panic("scl: Unlock of unlocked Mutex")
 	}
-	now := monotime()
 	fastAcquired := m.fastHeld
+	// A fast hold is the owner bits' entity's; a slow one is on the books.
+	if fastAcquired && word&wordOwner != ownerBits(h.id) || !fastAcquired && !m.acct.Holding(h.id) {
+		panic("scl: Unlock of a Mutex held by another entity")
+	}
+	now := monotime()
 	m.fold(now)
 	var rel core.Release
 	if fastAcquired {
@@ -933,7 +971,9 @@ func (m *Mutex) unlockSlow(h *Handle) {
 	case ghost || rel.SliceExpired:
 		raise = m.staleBit()
 	}
-	m.word.mutate(func(w uint64) uint64 { return w&^wordHeld | raise })
+	// A sibling taken from the parked list may have been the owner's last
+	// queued waiter: recompute the waiters bit in the same step.
+	m.word.mutate(func(w uint64) uint64 { return w&^(wordHeld|wordWaiters) | raise | m.waitersBit(w) })
 	if t := m.tracer.load(); t != nil {
 		if rel.SliceExpired {
 			t.OnSliceEnd(m.event(trace.KindSliceEnd, now, h.id, h.name, rel.SliceUse))
@@ -1016,7 +1056,7 @@ func (m *Mutex) transferLocked(now time.Duration) {
 	if m.next == nil {
 		owner, owned := m.acct.SliceOwner()
 		m.acct.ClearSlice()
-		m.word.mutate(func(w uint64) uint64 { return w &^ (wordOwner | wordStale) })
+		m.word.mutate(func(w uint64) uint64 { return w &^ (wordOwner | wordWaiters | wordStale) })
 		if owned {
 			m.dropGhostLocked(owner, now)
 		}
@@ -1053,7 +1093,7 @@ func (m *Mutex) endIdleSliceLocked(now time.Duration) bool {
 		t.OnSliceEnd(m.event(trace.KindSliceEnd, now, owner, "", 0))
 	}
 	m.acct.ClearSlice()
-	m.word.mutate(func(w uint64) uint64 { return w &^ (wordOwner | wordStale) })
+	m.word.mutate(func(w uint64) uint64 { return w &^ (wordOwner | wordWaiters | wordStale) })
 	m.dropGhostLocked(owner, now)
 	return true
 }
@@ -1155,7 +1195,8 @@ func (m *Mutex) Entities() int {
 // CheckInvariants verifies the lock's internal consistency: the
 // accounting engine's conservation invariants (weight and usage totals
 // match the per-entity sums, the slice owner is registered), agreement
-// between the state word's waiters bit and the waiter queue, and the
+// between the state word's waiters bit and the waiter queue (set exactly
+// when a waiter of the word's slice-owner entity is queued), and the
 // queue's structural invariant (a populated parked list implies a head
 // waiter in the next slot). It is meant for tests — the deterministic
 // checker calls it between operations of every explored schedule — and
@@ -1166,11 +1207,10 @@ func (m *Mutex) CheckInvariants() error {
 	if err := m.acct.CheckInvariants(); err != nil {
 		return err
 	}
-	queued := m.next != nil || len(m.parked) > 0
-	hasBit := m.word.Load()&wordWaiters != 0
-	if queued != hasBit {
-		return fmt.Errorf("scl: waiters bit %v but queue populated %v (next=%v parked=%d)",
-			hasBit, queued, m.next != nil, len(m.parked))
+	w := m.word.Load()
+	if want := m.waitersBit(w); w&wordWaiters != want {
+		return fmt.Errorf("scl: waiters bit %v but owner's entity queued %v (word=%#x next=%v parked=%d)",
+			w&wordWaiters != 0, want != 0, w, m.next != nil, len(m.parked))
 	}
 	if m.next == nil && len(m.parked) > 0 {
 		return fmt.Errorf("scl: %d parked waiters with an empty next slot", len(m.parked))

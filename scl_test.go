@@ -1,6 +1,8 @@
 package scl
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -178,6 +180,63 @@ func TestMutexUnlockUnlockedPanics(t *testing.T) {
 		}
 	}()
 	h.Unlock()
+}
+
+// TestMutexUnlockByOtherEntityPanics: Unlock through a handle whose entity
+// does not hold the lock must panic, whichever path took the hold, and
+// leave the holder's hold intact. A sibling of the holder is the same
+// entity and may release it.
+func TestMutexUnlockByOtherEntityPanics(t *testing.T) {
+	mustPanic := func(name string, h *Handle) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil || !strings.HasPrefix(fmt.Sprint(r), "scl:") {
+				t.Fatalf("%s: Unlock by a non-holder: recovered %v, want an scl: panic", name, r)
+			}
+		}()
+		h.Unlock()
+	}
+	cases := []struct {
+		name  string
+		slice time.Duration
+		fast  bool
+	}{
+		{"u-SCL slow", 0, false},
+		{"u-SCL fast", 0, true},
+		{"k-SCL", -1, false},
+	}
+	for _, c := range cases {
+		m := NewMutex(Options{Slice: c.slice})
+		a := m.Register()
+		b := m.Register()
+		a.Lock()
+		if c.fast {
+			a.Unlock()
+			a.Lock()
+			if !m.fastHeld {
+				t.Fatalf("%s: re-acquire did not take the fast path", c.name)
+			}
+		}
+		mustPanic(c.name, b)
+		a.Unlock() // the hold survived the misuse
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if m.word.Load()&wordHeld != 0 {
+			t.Fatalf("%s: lock still held after the holder's Unlock", c.name)
+		}
+	}
+
+	m := NewMutex(Options{})
+	a := m.Register()
+	sib := a.Sibling()
+	for i := 0; i < 2; i++ { // slow, then fast acquire
+		a.Lock()
+		sib.Unlock()
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestHandleCloseUnregisters(t *testing.T) {

@@ -100,15 +100,7 @@ func TestTryLockQueueNonEmpty(t *testing.T) {
 		b.Unlock()
 	}()
 	// Wait until b is actually queued.
-	for i := 0; i < 1000; i++ {
-		if m.word.Load()&wordWaiters != 0 {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if m.word.Load()&wordWaiters == 0 {
-		t.Fatal("waiter never queued")
-	}
+	waitQueued(t, m, 1)
 	if c.TryLock() {
 		t.Fatal("TryLock jumped a non-empty queue")
 	}
