@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check build build-matrix fmt-check vet test race race-debug bench-module review-gate docs-check check-explore oracle scenarios bench bench-all
+.PHONY: check build build-matrix fmt-check vet test race race-debug bench-module bench-smoke review-gate docs-check check-explore oracle scenarios bench bench-all
 
-check: build build-matrix fmt-check vet race race-debug bench-module review-gate docs-check
+check: build build-matrix fmt-check vet race race-debug bench-module bench-smoke review-gate docs-check
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,12 @@ race-debug:
 bench-module:
 	cd bench && $(GO) test -race ./...
 
+# One iteration of each layer benchmark in internal/core and
+# internal/metrics (the cost ledger's accountant and reservoir rows), so
+# they keep compiling and running between `make bench` recordings.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core ./internal/metrics
+
 # Review scaffolding (REVIEW-marked probes, temporary assertions) may live
 # in test files only; fail the gate if any marker leaks into production
 # code, as the PR 2 Gosched loop in Unlock once did.
@@ -78,7 +84,9 @@ scenarios:
 
 # Not part of the gate: the real-lock benchmarks (fast path, contention,
 # sync-primitive baselines) plus the scenario-corpus benchmarks
-# (BenchmarkScenario*, which carry grants/op and jain-hold metrics).
+# (BenchmarkScenario*, which carry grants/op and jain-hold metrics), and
+# the cost ledger's layer benchmarks, internal/core and internal/metrics
+# included.
 # Each run is appended to BENCH_scl.json by cmd/benchjson, growing a
 # benchstat-compatible performance trajectory whose first entry is the
 # pre-fast-path baseline. The corpus gate (`scenarios`) runs first so a
@@ -92,8 +100,8 @@ scenarios:
 # deltas but not gated; judge them with benchstat across trajectory
 # runs instead.
 bench: scenarios
-	$(GO) test -run '^$$' -bench . -benchmem -count=5 -benchtime=0.3s . | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_scl.json
-	$(GO) run ./cmd/benchjson -compare BENCH_scl.json -volatile 'PingPong|Contended|DoMixed|KSCLTraced'
+	$(GO) test -run '^$$' -bench . -benchmem -count=5 -benchtime=0.3s . ./internal/core ./internal/metrics | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_scl.json
+	$(GO) run ./cmd/benchjson -compare BENCH_scl.json -volatile 'PingPong|Contended|DoMixed|KSCLTraced|Handoff'
 
 # Deterministic schedule exploration of the real locks (internal/check)
 # on a CI-sized budget; `go test ./internal/check` without -short runs

@@ -466,6 +466,57 @@ func BenchmarkMutexPingPong(b *testing.B) {
 	}
 }
 
+// BenchmarkMutexHandoff measures lock cost the way lightweight-thread
+// lock studies do: the time from one holder's release until the next
+// holder runs. Two goroutines, each its own k-SCL entity (every release
+// is a slice boundary), loop on Lock/Unlock, so a release usually finds
+// the other entity queued and grants it the lock; the handoff-ns metric
+// averages the release-to-acquire gap over those grants. An acquire that
+// follows the same entity's own release is not a handoff and is not
+// counted. Every counted operation is a park/wake, so the number is
+// scheduler-bound.
+func BenchmarkMutexHandoff(b *testing.B) {
+	m := scl.NewMutex(scl.Options{Slice: -1})
+	base := time.Now()
+	// Guarded by m itself: only the holder reads or writes them.
+	var (
+		last     = -1          // entity index of the previous holder
+		relAt    time.Duration // when it began its release
+		handoffs int64
+		gaps     time.Duration
+	)
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for g := 0; g < 2; g++ {
+		h := m.Register()
+		n := b.N / 2
+		if g == 0 {
+			n = b.N - n
+		}
+		wg.Add(1)
+		go func(me int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				h.Lock()
+				if now := time.Since(base); last >= 0 && last != me {
+					gaps += now - relAt
+					handoffs++
+				}
+				last = me
+				relAt = time.Since(base)
+				h.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+	b.StopTimer()
+	if handoffs > 0 {
+		b.ReportMetric(float64(gaps)/float64(handoffs), "handoff-ns")
+	}
+	b.ReportMetric(float64(handoffs)/float64(b.N), "handoffs/op")
+}
+
 // benchContended hammers one lock from n goroutines, each a distinct
 // entity, measuring aggregate critical-section throughput under contention.
 func benchContended(b *testing.B, n int, mk func() sync.Locker) {

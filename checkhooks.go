@@ -103,13 +103,14 @@ type boundaryTimer struct {
 }
 
 // arm schedules fire at the absolute time end, unless the timer is
-// already armed for that end.
-func (b *boundaryTimer) arm(end time.Duration) {
+// already armed for that end. now is the caller's clock reading: every
+// caller arms inside a lock transition that has already read the clock.
+func (b *boundaryTimer) arm(end, now time.Duration) {
 	if b.at == end {
 		return
 	}
 	b.at = end
-	delay := end - monotime()
+	delay := end - now
 	if delay < 0 {
 		delay = 0
 	}

@@ -383,7 +383,7 @@ func (m *Mutex) drainCombine(combiner *Handle, now time.Duration) time.Duration 
 	if t != nil {
 		t.OnCombine(m.event(trace.KindCombine, now, combiner.id, combiner.name, total))
 	}
-	m.stats.onCombine(int64(combiner.id), int64(len(batch)))
+	m.stats.of(combiner.ref).combines += int64(len(batch))
 	charges := make([]core.Charge, len(batch))
 	for i, r := range batch {
 		charges[i] = core.Charge{ID: r.h.id, Usage: r.end - r.start}
@@ -395,13 +395,14 @@ func (m *Mutex) drainCombine(combiner *Handle, now time.Duration) time.Duration 
 		if wait < 0 {
 			wait = 0
 		}
-		m.stats.onCombinedOp(int64(id), name, r.start, r.end, wait)
+		books := m.stats.of(r.h.ref)
+		m.stats.onCombinedOp(books, name, r.start, r.end, wait)
 		if t != nil {
 			t.OnAcquire(m.event(trace.KindAcquire, r.start, id, name, wait))
 			t.OnRelease(m.event(trace.KindRelease, r.end, id, name, r.end-r.start))
 		}
 		if pens[i] > 0 {
-			m.stats.onBan(int64(id), pens[i])
+			books.onBan(pens[i])
 			if t != nil {
 				t.OnBan(m.event(trace.KindBan, r.end, id, name, pens[i]))
 			}

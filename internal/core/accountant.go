@@ -66,7 +66,12 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-type entity struct {
+// Entity is one registered entity's books. Lookup and Register hand out
+// a pointer to them that stays valid until the entity is unregistered, so
+// an enclosing lock can look an entity up once per transition and pass
+// the pointer to the entry-keyed methods (AcquireEntry, ReleaseEntry,
+// StartSliceEntry). The id-keyed methods are thin wrappers over them.
+type Entity struct {
 	id          ID
 	weight      int64
 	usage       time.Duration // cumulative lock hold time (rescaled)
@@ -100,7 +105,7 @@ type Release struct {
 // monotonic clock.
 type Accountant struct {
 	params      Params
-	entities    map[ID]*entity
+	entities    map[ID]*Entity
 	totalWeight int64
 	grandUsage  time.Duration // Σ usage over registered entities
 
@@ -114,7 +119,7 @@ type Accountant struct {
 func NewAccountant(p Params) *Accountant {
 	return &Accountant{
 		params:   p.withDefaults(),
-		entities: make(map[ID]*entity),
+		entities: make(map[ID]*Entity),
 	}
 }
 
@@ -122,10 +127,10 @@ func NewAccountant(p Params) *Accountant {
 func (a *Accountant) Params() Params { return a.params }
 
 // Register adds an entity with the given weight to the accounting, or
-// updates its weight if already present. A new or returning entity is
-// granted at most JoinCredit of usage deficit so it cannot monopolize the
-// lock to "catch up" on an arbitrarily long past.
-func (a *Accountant) Register(id ID, weight int64, now time.Duration) {
+// updates its weight if already present, and returns its books. A new or
+// returning entity is granted at most JoinCredit of usage deficit so it
+// cannot monopolize the lock to "catch up" on an arbitrarily long past.
+func (a *Accountant) Register(id ID, weight int64, now time.Duration) *Entity {
 	check.Point("acct.register")
 	if weight <= 0 {
 		panic(fmt.Sprintf("core: entity %d registered with non-positive weight %d", id, weight))
@@ -134,9 +139,9 @@ func (a *Accountant) Register(id ID, weight int64, now time.Duration) {
 		a.totalWeight += weight - e.weight
 		e.weight = weight
 		e.lastActive = now
-		return
+		return e
 	}
-	e := &entity{id: id, weight: weight, lastActive: now, registered: true}
+	e := &Entity{id: id, weight: weight, lastActive: now, registered: true}
 	a.entities[id] = e
 	a.totalWeight += weight
 	// Floor the newcomer's usage so its deficit versus its fair share of the
@@ -151,6 +156,7 @@ func (a *Accountant) Register(id ID, weight int64, now time.Duration) {
 			a.rescale()
 		}
 	}
+	return e
 }
 
 // Unregister removes an entity (thread exit). Its history leaves the
@@ -168,11 +174,11 @@ func (a *Accountant) Unregister(id ID) {
 	}
 }
 
+// Lookup returns id's books, or nil when id is not registered.
+func (a *Accountant) Lookup(id ID) *Entity { return a.entities[id] }
+
 // Registered reports whether id is currently tracked.
-func (a *Accountant) Registered(id ID) bool {
-	_, ok := a.entities[id]
-	return ok
-}
+func (a *Accountant) Registered(id ID) bool { return a.Lookup(id) != nil }
 
 // Len returns the number of tracked entities.
 func (a *Accountant) Len() int { return len(a.entities) }
@@ -189,7 +195,7 @@ func (a *Accountant) Share(id ID) float64 {
 
 // fairUsage is the usage entity e would have if the historical total had
 // been divided exactly by weight.
-func (a *Accountant) fairUsage(e *entity) time.Duration {
+func (a *Accountant) fairUsage(e *Entity) time.Duration {
 	if a.totalWeight == 0 {
 		return 0
 	}
@@ -199,10 +205,16 @@ func (a *Accountant) fairUsage(e *entity) time.Duration {
 // StartSlice makes id the slice owner beginning at now. The enclosing lock
 // calls this when ownership transfers (or on first acquisition).
 func (a *Accountant) StartSlice(id ID, now time.Duration) {
+	a.StartSliceEntry(id, a.Lookup(id), now)
+}
+
+// StartSliceEntry is StartSlice with id's books already looked up: e is
+// Lookup(id), nil when id is not (yet) registered.
+func (a *Accountant) StartSliceEntry(id ID, e *Entity, now time.Duration) {
 	a.sliceOwner = id
 	a.sliceStart = now
 	a.hasOwner = true
-	if e, ok := a.entities[id]; ok {
+	if e != nil {
 		e.sliceUsage = 0
 	}
 }
@@ -230,14 +242,19 @@ func (a *Accountant) SliceExpired(now time.Duration) bool {
 // lock they never registered for are auto-registered at the reference
 // weight (matching u-SCL's lazy per-thread allocation).
 func (a *Accountant) OnAcquire(id ID, now time.Duration) {
-	e, ok := a.entities[id]
-	if !ok {
-		a.Register(id, ReferenceWeight, now)
-		e = a.entities[id]
+	a.AcquireEntry(id, a.Lookup(id), now)
+}
+
+// AcquireEntry is OnAcquire with id's books already looked up: e is
+// Lookup(id), and nil auto-registers id. It returns the books it charged.
+func (a *Accountant) AcquireEntry(id ID, e *Entity, now time.Duration) *Entity {
+	if e == nil {
+		e = a.Register(id, ReferenceWeight, now)
 	}
 	e.holding = true
 	e.holdStart = now
 	e.lastActive = now
+	return e
 }
 
 // OnRelease records that id released the lock at now and returns the SCL
@@ -250,9 +267,14 @@ func (a *Accountant) OnAcquire(id ID, now time.Duration) {
 // makes the just-ended ownership window average out to the entity's share:
 // after using the lock for U, the entity stays away for U/share − U.
 func (a *Accountant) OnRelease(id ID, now time.Duration) Release {
+	return a.ReleaseEntry(a.Lookup(id), now)
+}
+
+// ReleaseEntry is OnRelease with the releasing entity's books already
+// looked up (nil: not registered, an empty Release).
+func (a *Accountant) ReleaseEntry(e *Entity, now time.Duration) Release {
 	check.Point("acct.release")
-	e, ok := a.entities[id]
-	if !ok || !e.holding {
+	if e == nil || !e.holding {
 		return Release{}
 	}
 	hold := now - e.holdStart
@@ -263,7 +285,8 @@ func (a *Accountant) OnRelease(id ID, now time.Duration) Release {
 	e.lastActive = now
 	e.usage += hold
 	a.grandUsage += hold
-	if a.hasOwner && a.sliceOwner == id {
+	owner := a.hasOwner && a.sliceOwner == e.id
+	if owner {
 		e.sliceUsage += hold
 	}
 	rel := Release{Hold: hold}
@@ -271,7 +294,7 @@ func (a *Accountant) OnRelease(id ID, now time.Duration) Release {
 		return rel
 	}
 	rel.SliceExpired = true
-	if a.hasOwner && a.sliceOwner == id {
+	if owner {
 		rel.SliceUse = e.sliceUsage
 	}
 	rel.Penalty = a.penalty(e)
@@ -313,7 +336,7 @@ func (a *Accountant) FoldSliceUsage(id ID, usage time.Duration, now time.Duratio
 }
 
 // penalty computes the ban for an entity whose slice just expired.
-func (a *Accountant) penalty(e *entity) time.Duration {
+func (a *Accountant) penalty(e *Entity) time.Duration {
 	return a.windowPenalty(e, e.sliceUsage)
 }
 
@@ -322,7 +345,7 @@ func (a *Accountant) penalty(e *entity) time.Duration {
 // its share stays away for window/share − window, so the window averages
 // out to the share. Shared by the slice-boundary path (window = slice
 // usage) and ChargeWindow (window = one externally measured hold).
-func (a *Accountant) windowPenalty(e *entity, window time.Duration) time.Duration {
+func (a *Accountant) windowPenalty(e *Entity, window time.Duration) time.Duration {
 	if a.grandUsage <= 0 || a.totalWeight <= 0 {
 		return 0
 	}
@@ -434,11 +457,15 @@ func (a *Accountant) FoldBatch(charges []Charge, now time.Duration) []time.Durat
 
 // BannedUntil returns the absolute time until which id is banned from
 // acquiring (zero if not banned).
-func (a *Accountant) BannedUntil(id ID) time.Duration {
-	if e, ok := a.entities[id]; ok {
-		return e.bannedUntil
+func (a *Accountant) BannedUntil(id ID) time.Duration { return a.Lookup(id).BannedUntil() }
+
+// BannedUntil returns the absolute time until which the entity is banned
+// from acquiring (zero if not banned, or e is nil).
+func (e *Entity) BannedUntil() time.Duration {
+	if e == nil {
+		return 0
 	}
-	return 0
+	return e.bannedUntil
 }
 
 // Banned reports whether id is banned at time now.
@@ -515,10 +542,11 @@ func (a *Accountant) ExpireInactive(now time.Duration, keep func(ID) bool) []Exp
 
 // Holding reports whether id is currently inside a critical section
 // according to the accounting (between OnAcquire and OnRelease).
-func (a *Accountant) Holding(id ID) bool {
-	e, ok := a.entities[id]
-	return ok && e.holding
-}
+func (a *Accountant) Holding(id ID) bool { return a.Lookup(id).Holding() }
+
+// Holding reports whether the entity is inside a critical section
+// according to the accounting (false when e is nil).
+func (e *Entity) Holding() bool { return e != nil && e.holding }
 
 // TotalWeight returns Σ weight over registered entities.
 func (a *Accountant) TotalWeight() int64 { return a.totalWeight }

@@ -231,3 +231,95 @@ func TestTableRendering(t *testing.T) {
 		t.Fatalf("got %d lines:\n%s", len(lines), out)
 	}
 }
+
+// TestReservoirInclusionUniform checks Algorithm L's defining property
+// across many seeds: every stream position, inside the initial fill or
+// past it, ends up in the sample with probability cap/n.
+func TestReservoirInclusionUniform(t *testing.T) {
+	const (
+		cap  = 10
+		n    = 100
+		runs = 20000
+	)
+	kept := make([]int, n)
+	for seed := int64(0); seed < runs; seed++ {
+		r := NewReservoir(cap, seed)
+		for i := 0; i < n; i++ {
+			r.Add(time.Duration(i))
+		}
+		if len(r.Samples()) != cap {
+			t.Fatalf("seed %d: %d samples, want %d", seed, len(r.Samples()), cap)
+		}
+		for _, d := range r.Samples() {
+			kept[d]++
+		}
+	}
+	want := float64(cap) / n
+	// The standard error of one share is sqrt(p(1-p)/runs) ≈ 0.0021; the
+	// tolerance is about five of them.
+	for i, k := range kept {
+		if got := float64(k) / runs; math.Abs(got-want) > 0.01 {
+			t.Errorf("position %d retained in %.4f of runs, want %.2f", i, got, want)
+		}
+	}
+}
+
+// TestReservoirAddNMatchesAdd checks that AddN(d, n) is n Add(d) calls:
+// the same Seen count and the same retained copies of d, seed by seed,
+// with observations before and after the batch. Across seeds the mean
+// number of copies matches cap·n/total, the share uniform sampling keeps.
+func TestReservoirAddNMatchesAdd(t *testing.T) {
+	const (
+		cap    = 16
+		before = 40
+		batch  = 500
+		after  = 60
+		runs   = 4000
+		d      = time.Duration(-1) // distinct from the stream's 0..k values
+	)
+	count := func(r *Reservoir) int {
+		c := 0
+		for _, s := range r.Samples() {
+			if s == d {
+				c++
+			}
+		}
+		return c
+	}
+	var copies int
+	for seed := int64(0); seed < runs; seed++ {
+		one, bulk := NewReservoir(cap, seed), NewReservoir(cap, seed)
+		for i := 0; i < before; i++ {
+			one.Add(time.Duration(i))
+			bulk.Add(time.Duration(i))
+		}
+		for i := 0; i < batch; i++ {
+			one.Add(d)
+		}
+		bulk.AddN(d, batch)
+		for i := 0; i < after; i++ {
+			one.Add(time.Duration(i))
+			bulk.Add(time.Duration(i))
+		}
+		if one.Seen() != bulk.Seen() {
+			t.Fatalf("seed %d: Seen %d after Adds, %d after AddN", seed, one.Seen(), bulk.Seen())
+		}
+		if a, b := count(one), count(bulk); a != b {
+			t.Fatalf("seed %d: %d copies of d after Adds, %d after AddN", seed, a, b)
+		}
+		copies += count(bulk)
+	}
+	want := float64(cap) * batch / (before + batch + after)
+	if got := float64(copies) / runs; math.Abs(got-want) > 0.05*want {
+		t.Errorf("mean copies of the batch value %.3f, want %.3f", got, want)
+	}
+	// A batch straddling the initial fill takes the same path.
+	one, bulk := NewReservoir(cap, 3), NewReservoir(cap, 3)
+	for i := 0; i < 5; i++ {
+		one.Add(d)
+	}
+	bulk.AddN(d, 5)
+	if one.Seen() != bulk.Seen() || count(one) != count(bulk) {
+		t.Fatalf("partial-fill batch: Seen %d/%d, copies %d/%d", one.Seen(), bulk.Seen(), count(one), count(bulk))
+	}
+}

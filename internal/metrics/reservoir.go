@@ -7,15 +7,23 @@ import (
 )
 
 // Reservoir keeps a bounded uniform sample of an unbounded stream of
-// durations (Vitter's algorithm R) so long simulations can record latency
+// durations (Li's Algorithm L) so long simulations can record latency
 // distributions without unbounded memory. The RNG is caller-seeded, keeping
 // simulations deterministic.
+//
+// Algorithm L draws randomness only at replacements: after each one it
+// draws how many stream items to skip before the next, so an observation
+// that is not kept costs a counter increment and a compare. Past the
+// first cap observations, the expected number of replacements among n
+// observations is cap·ln(n/cap).
 type Reservoir struct {
 	cap     int
 	seen    int64
 	samples []time.Duration
 	seed    int64
 	rng     *rand.Rand
+	w       float64 // Algorithm L's threshold: the largest kept item's key
+	next    int64   // stream position of the next replacement (0: not drawn yet)
 }
 
 // NewReservoir returns a reservoir holding at most cap samples, drawing
@@ -39,6 +47,31 @@ func (r *Reservoir) rand() *rand.Rand {
 	return r.rng
 }
 
+// maxSkip bounds one drawn skip so the stream position cannot overflow.
+const maxSkip = 1 << 62
+
+// skip draws the stream position of the next replacement. The first call
+// starts the sampler at the position where the reservoir filled.
+func (r *Reservoir) skip() {
+	rng := r.rand()
+	if r.next == 0 {
+		r.w, r.next = 1, int64(r.cap)
+	}
+	// 1-Float64() lies in (0, 1], so neither logarithm sees a zero.
+	r.w *= math.Exp(math.Log(1-rng.Float64()) / float64(r.cap))
+	gap := math.Floor(math.Log(1-rng.Float64()) / math.Log1p(-r.w))
+	if !(gap < maxSkip) {
+		gap = maxSkip
+	}
+	r.next += int64(gap) + 1
+}
+
+// replace puts d in a uniformly chosen slot and draws the next skip.
+func (r *Reservoir) replace(d time.Duration) {
+	r.samples[r.rand().Intn(r.cap)] = d
+	r.skip()
+}
+
 // Add offers one observation to the reservoir.
 func (r *Reservoir) Add(d time.Duration) {
 	r.seen++
@@ -46,41 +79,36 @@ func (r *Reservoir) Add(d time.Duration) {
 		r.samples = append(r.samples, d)
 		return
 	}
-	if i := r.rand().Int63n(r.seen); i < int64(r.cap) {
-		r.samples[i] = d
+	if r.next == 0 {
+		r.skip()
+	}
+	if r.seen == r.next {
+		r.replace(d)
 	}
 }
 
-// AddN offers n identical observations in one step. It is equivalent in
-// distribution to n sequential Add calls but costs O(cap) instead of O(n):
-// because the values are identical, only the number of slots they end up
-// occupying matters, and that count is drawn once from its expectation
-// under algorithm R. Batch accounting paths (lock fast-path folds) use
-// this to record thousands of uniform observations per fold cheaply.
+// AddN offers n identical observations in one step. It is exactly n
+// sequential Add calls — the same samples from the same seed — but costs
+// one step per replacement instead of one per observation: it consumes
+// whole skips, landing d only at the positions Add would have replaced.
+// Batch accounting paths (lock fast-path folds) use this to record
+// thousands of uniform observations per fold cheaply.
 func (r *Reservoir) AddN(d time.Duration, n int64) {
-	for n > 0 && len(r.samples) < r.cap {
-		r.samples = append(r.samples, d)
-		r.seen++
-		n--
+	for ; n > 0 && len(r.samples) < r.cap; n-- {
+		r.Add(d)
 	}
 	if n <= 0 {
 		return
 	}
-	before := r.seen
-	r.seen += n
-	// Expected replacements: Σ cap/i for i in (before, before+n], i.e.
-	// cap·ln(after/before); round stochastically to stay unbiased.
-	expected := float64(r.cap) * math.Log(float64(r.seen)/float64(before))
-	k := int(expected)
-	if r.rand().Float64() < expected-float64(k) {
-		k++
+	if r.next == 0 {
+		r.skip()
 	}
-	if k > r.cap {
-		k = r.cap
+	end := r.seen + n
+	for r.next <= end {
+		r.seen = r.next
+		r.replace(d)
 	}
-	for i := 0; i < k; i++ {
-		r.samples[r.rand().Intn(len(r.samples))] = d
-	}
+	r.seen = end
 }
 
 // Seen reports how many observations were offered in total.

@@ -346,9 +346,10 @@ func (t *Tenant) acquire(ctx context.Context, key string, mode int) (*Grant, err
 	// stripe books' penalty is imposed at acquire, exactly like the
 	// single-lock rule (§4.2), and the sleep happens outside the stripe
 	// mutex so banned tenants never block the table.
+	var now time.Duration
 	for {
 		lockMutex(&s.mu)
-		now := monotime()
+		now = monotime()
 		s.ensureTenantLocked(t, now)
 		until := s.books.BannedUntil(t.id)
 		if until <= now {
@@ -375,7 +376,7 @@ func (t *Tenant) acquire(ctx context.Context, key string, mode int) (*Grant, err
 			return nil, ctx.Err()
 		}
 	}
-	now := monotime()
+	// The ban check's clock reading serves the rest of this stripe hold.
 	ml := s.keys[key]
 	if ml == nil {
 		ml = s.materializeLocked(m, key, now)

@@ -66,10 +66,10 @@ type Mutex struct {
 
 	mu        sync.Mutex // guards all fields below
 	acct      *core.Accountant
-	draining  []*combineReq   // batch a drain is executing outside mu
-	refs      map[core.ID]int // handles sharing each entity (Sibling)
-	nextReap  time.Duration   // earliest next inactive-entity sweep
-	fastSince time.Duration   // start of the open fast window (-1: none)
+	draining  []*combineReq          // batch a drain is executing outside mu
+	refs      map[core.ID]*entityRef // open entities, each shared by its handles
+	nextReap  time.Duration          // earliest next inactive-entity sweep
+	fastSince time.Duration          // start of the open fast window (-1: none)
 	next      *waiter
 	parked    []*waiter
 	// timer drives slice-end processing (onSliceTimer): stale-marking a
@@ -109,7 +109,7 @@ func NewMutex(opts Options, extra ...Option) *Mutex {
 		opts:   opts,
 		name:   opts.Name,
 		fastOK: opts.sliceLen() > 0,
-		refs:   make(map[core.ID]int),
+		refs:   make(map[core.ID]*entityRef),
 		acct: core.NewAccountant(core.Params{
 			Slice:           opts.sliceLen(),
 			BanCap:          opts.BanCap,
@@ -142,6 +142,18 @@ type Handle struct {
 	id     core.ID
 	weight int64
 	name   string
+	ref    *entityRef // shared with the handle's siblings
+}
+
+// entityRef is the state an entity's handles share: how many of them are
+// open, and a cached reference to the entity's stats entry, so the slow
+// path reaches the entity's books without a map lookup (lockStats.of). The
+// Mutex's refs map holds the ref while open > 0. m.mu guards it.
+type entityRef struct {
+	id    int64
+	open  int          // handles not yet closed; 0 once closed or reaped
+	books *entityStats // the entity's stats entry as of gen
+	gen   uint64       // lockStats.gen when books was resolved
 }
 
 var handleIDs atomic.Int64
@@ -158,9 +170,10 @@ func (m *Mutex) RegisterNice(nice int) *Handle {
 // RegisterWeight adds an entity with an explicit weight.
 func (m *Mutex) RegisterWeight(weight int64) *Handle {
 	h := &Handle{m: m, id: core.ID(handleIDs.Add(1)), weight: weight}
+	h.ref = &entityRef{id: int64(h.id), open: 1}
 	m.lockMu()
 	m.acct.Register(h.id, weight, monotime())
-	m.refs[h.id]++
+	m.refs[h.id] = h.ref
 	m.unlockMu()
 	return h
 }
@@ -172,9 +185,10 @@ func (m *Mutex) RegisterWeight(weight int64) *Handle {
 // generalization: a process, container or tenant with several threads is
 // one entity). Each sibling is still a single thread of control.
 func (h *Handle) Sibling() *Handle {
-	s := &Handle{m: h.m, id: h.id, weight: h.weight, name: h.name}
+	s := &Handle{m: h.m, id: h.id, weight: h.weight, name: h.name, ref: h.ref}
 	h.m.lockMu()
-	h.m.refs[h.id]++
+	h.ref.open++
+	h.m.refs[h.id] = h.ref // back in the map if the entity was reaped
 	h.m.unlockMu()
 	return s
 }
@@ -191,10 +205,10 @@ func (h *Handle) Close() {
 	check.Point("mu.close")
 	m.lockMu()
 	defer m.unlockMu()
-	m.refs[h.id]--
-	if m.refs[h.id] > 0 {
+	if h.ref.open--; h.ref.open > 0 {
 		return
 	}
+	h.ref.open = 0
 	delete(m.refs, h.id)
 	now := monotime()
 	m.fold(now)
@@ -318,7 +332,10 @@ func (m *Mutex) maybeReap(now time.Duration) {
 	})
 	t := m.tracer.load()
 	for _, r := range reaped {
-		delete(m.refs, r.ID)
+		if ref := m.refs[r.ID]; ref != nil {
+			ref.open = 0
+			delete(m.refs, r.ID)
+		}
 		name := m.stats.onReap(int64(r.ID), now)
 		if t != nil {
 			t.OnReap(m.event(trace.KindReap, now, r.ID, name, r.Idle))
@@ -473,13 +490,16 @@ func (m *Mutex) lockSlow(h *Handle, ctx context.Context) error {
 	}
 	reqAt := time.Duration(-1) // first clock read inside the loop
 	check.Point("mu.lockslow")
+	var now time.Duration
+	var e *core.Entity
 	for {
 		m.lockMu()
-		now := monotime()
+		now = monotime()
 		if reqAt < 0 {
 			reqAt = now
 		}
-		until := m.acct.BannedUntil(h.id)
+		e = m.acct.Lookup(h.id)
+		until := e.BannedUntil()
 		if until <= now {
 			break // proceed, still holding m.mu
 		}
@@ -510,10 +530,11 @@ func (m *Mutex) lockSlow(h *Handle, ctx context.Context) error {
 	}
 	// Uncontended path: we own the live slice, or the lock is wholly
 	// free. setHeldLocked can lose only to a fast-path sibling; then we
-	// queue like anyone else and its release hands the slice over.
-	now := monotime()
-	if m.word.Load()&(wordHeld|wordTransfer) == 0 && m.fastEligible(h, now) && m.setHeldLocked() {
-		m.acquireLocked(h, now, reqAt)
+	// queue like anyone else and its release hands the slice over. The ban
+	// check's clock read and lookup serve this acquire: m.mu is still held,
+	// so neither time nor the books have moved.
+	if m.word.Load()&(wordHeld|wordTransfer) == 0 && m.fastEligible(h, e, now) && m.setHeldLocked() {
+		m.acquireLocked(h, e, now, reqAt)
 		m.unlockMu()
 		return nil
 	}
@@ -527,7 +548,7 @@ func (m *Mutex) lockSlow(h *Handle, ctx context.Context) error {
 	}
 	m.syncWaitersBit()
 	if head {
-		m.armSliceEnd()
+		m.armSliceEnd(now)
 	}
 	m.unlockMu()
 	if !w.await(done, head) {
@@ -538,21 +559,22 @@ func (m *Mutex) lockSlow(h *Handle, ctx context.Context) error {
 	check.Point("mu.granted")
 	m.lockMu()
 	now = monotime()
+	e = m.acct.Lookup(h.id)
 	if m.next == w {
 		m.next = nil
 	}
 	if !w.intra {
 		// A slice transfer; an intra-class handoff keeps the running slice.
-		m.startSlice(h.id, now)
+		m.startSlice(h.id, e, now)
 	}
-	m.promoteHead()
+	m.promoteHead(now)
 	// Take the lock and retire the grant in one step: the transfer bit
 	// must not clear before the held bit is up, or the previous owner's
 	// fast path could still see a free word naming it.
 	m.word.mutate(func(x uint64) uint64 { return (x | wordHeld) &^ wordTransfer })
 	m.syncWaitersBit()
-	m.armSliceEnd() // the transfer bit suppressed arming in startSlice
-	m.acquireLocked(h, now, reqAt)
+	m.armSliceEnd(now) // the transfer bit suppressed arming in startSlice
+	m.acquireLocked(h, e, now, reqAt)
 	m.unlockMu()
 	return nil
 }
@@ -576,7 +598,7 @@ func (m *Mutex) abandon(w *waiter, reqAt time.Duration) {
 	granted := w.granted.Load() // stable under m.mu: grants happen under it
 	if m.next == w {
 		m.next = nil
-		m.promoteHead()
+		m.promoteHead(now)
 	} else {
 		for i, p := range m.parked {
 			if p == w {
@@ -616,7 +638,7 @@ func (m *Mutex) regrantLocked(w *waiter, now time.Duration) {
 		if m.fastOK {
 			m.fastSince = now
 		}
-		m.armSliceEnd()
+		m.armSliceEnd(now)
 		return
 	}
 	// A slice transfer: hand it to the new queue head, keeping the
@@ -649,7 +671,7 @@ func (m *Mutex) noteAbandonLocked(h *Handle, now, reqAt time.Duration) {
 	if wait < 0 {
 		wait = 0
 	}
-	m.stats.onAbandon(int64(h.id), h.name)
+	m.stats.of(h.ref).onAbandon(h.name)
 	if t := m.tracer.load(); t != nil {
 		t.OnAbandon(m.event(trace.KindAbandon, now, h.id, h.name, wait))
 	}
@@ -672,7 +694,8 @@ func (h *Handle) TryLock() bool {
 	m.lockMu()
 	defer m.unlockMu()
 	now := monotime()
-	if m.acct.BannedUntil(h.id) > now {
+	e := m.acct.Lookup(h.id)
+	if e.BannedUntil() > now {
 		return false
 	}
 	if m.word.Load()&(wordHeld|wordTransfer) != 0 || m.next != nil || len(m.parked) > 0 {
@@ -681,7 +704,7 @@ func (h *Handle) TryLock() bool {
 	if owner, ok := m.acct.SliceOwner(); ok && owner != h.id && !m.acct.SliceExpired(now) {
 		return false // someone else's live slice
 	}
-	if !m.fastEligible(h, now) {
+	if !m.fastEligible(h, e, now) {
 		// An expired slice with no waiters: run the boundary inline (what
 		// the slice timer would do) and take a fresh slice.
 		if _, owned := m.acct.SliceOwner(); !owned || !m.acct.SliceExpired(now) {
@@ -690,24 +713,26 @@ func (h *Handle) TryLock() bool {
 		if !m.endIdleSliceLocked(now) {
 			return false // a fast-path holder slipped in
 		}
-		m.startSlice(h.id, now)
+		// The boundary may have dropped this entity as a ghost.
+		e = m.acct.Lookup(h.id)
+		m.startSlice(h.id, e, now)
 	}
 	if !m.setHeldLocked() {
 		return false // a fast-path sibling got there first
 	}
-	m.acquireLocked(h, now, now)
+	m.acquireLocked(h, e, now, now)
 	return true
 }
 
-// fastEligible reports whether h may take the free lock immediately.
-// m.mu held.
-func (m *Mutex) fastEligible(h *Handle, now time.Duration) bool {
+// fastEligible reports whether h may take the free lock immediately; e is
+// h's entity's books (nil: not registered). m.mu held.
+func (m *Mutex) fastEligible(h *Handle, e *core.Entity, now time.Duration) bool {
 	owner, ok := m.acct.SliceOwner()
 	switch {
 	case ok && owner == h.id && !m.acct.SliceExpired(now):
 		return true
 	case !ok && m.next == nil:
-		m.startSlice(h.id, now)
+		m.startSlice(h.id, e, now)
 		return true
 	}
 	return false
@@ -715,17 +740,18 @@ func (m *Mutex) fastEligible(h *Handle, now time.Duration) bool {
 
 // startSlice makes id the slice owner beginning at now, mirrors ownership
 // into the fast-path state word, and schedules the slice-end timer that
-// bounds the fast-path regime. m.mu held.
-func (m *Mutex) startSlice(id core.ID, now time.Duration) {
+// bounds the fast-path regime. e is id's books (nil: not registered).
+// m.mu held.
+func (m *Mutex) startSlice(id core.ID, e *core.Entity, now time.Duration) {
 	m.fold(now)
-	m.acct.StartSlice(id, now)
+	m.acct.StartSliceEntry(id, e, now)
 	if m.fastOK {
 		m.word.mutate(func(w uint64) uint64 {
 			w = w&^(wordOwner|wordWaiters|wordStale) | ownerBits(id)
 			return w | m.waitersBit(w)
 		})
 	}
-	m.armSliceEnd()
+	m.armSliceEnd(now)
 }
 
 // setHeldLocked closes an uncontended acquire: a CAS raises the held bit,
@@ -746,29 +772,31 @@ func (m *Mutex) setHeldLocked() bool {
 }
 
 // acquireLocked books h as holder; the held bit is already up (via
-// setHeldLocked or the grant-retiring mutate). m.mu held.
-func (m *Mutex) acquireLocked(h *Handle, now, reqAt time.Duration) {
+// setHeldLocked or the grant-retiring mutate). e is h's entity's books as
+// looked up earlier in this m.mu hold (nil: not registered). m.mu held.
+func (m *Mutex) acquireLocked(h *Handle, e *core.Entity, now, reqAt time.Duration) {
 	m.fold(now)
 	m.fastSince = -1 // held: the fast window is closed
 	m.fastHeld = false
 	m.csStart = 0
-	if !m.acct.Registered(h.id) {
+	if e == nil {
 		// A reaped (or never-registered) entity returning: re-register
 		// through the join-credit floor — going idle does not launder
-		// accumulated usage beyond JoinCredit. Restore the refcount entry
-		// the reap dropped, so Close and the ghost-drop logic keep seeing
-		// this entity as open.
-		m.acct.Register(h.id, h.weight, now)
-		if _, ok := m.refs[h.id]; !ok {
-			m.refs[h.id] = 1
+		// accumulated usage beyond JoinCredit. Restore the refcount the
+		// reap dropped, so Close and the ghost-drop logic keep seeing this
+		// entity as open.
+		e = m.acct.Register(h.id, h.weight, now)
+		if h.ref.open == 0 {
+			h.ref.open = 1
+			m.refs[h.id] = h.ref
 		}
 	}
 	wait := now - reqAt
 	if wait < 0 {
 		wait = 0
 	}
-	m.acct.OnAcquire(h.id, now)
-	m.stats.onAcquire(int64(h.id), h.name, now, wait)
+	m.acct.AcquireEntry(h.id, e, now)
+	m.stats.onAcquire(m.stats.of(h.ref), h.name, now, wait)
 	if t := m.tracer.load(); t != nil {
 		t.OnAcquire(m.event(trace.KindAcquire, now, h.id, h.name, wait))
 	}
@@ -793,7 +821,7 @@ func (m *Mutex) fold(now time.Duration) {
 		return
 	}
 	m.acct.FoldSliceUsage(owner, window, now)
-	m.stats.fold(int64(owner), window, ops, now)
+	m.stats.fold(m.stats.entity(int64(owner)), window, ops, now)
 }
 
 // await blocks until the waiter is granted (true) or done fires first
@@ -842,7 +870,7 @@ func (w *waiter) grant() {
 // promoteHead moves the head of the parked queue into the next-thread
 // slot and wakes it so it starts spinning (paper Figure 3 step 8).
 // m.mu held.
-func (m *Mutex) promoteHead() {
+func (m *Mutex) promoteHead(now time.Duration) {
 	if m.next != nil || len(m.parked) == 0 {
 		return
 	}
@@ -854,7 +882,7 @@ func (m *Mutex) promoteHead() {
 	case w.wake <- struct{}{}:
 	default:
 	}
-	m.armSliceEnd()
+	m.armSliceEnd(now)
 }
 
 // syncWaitersBit reconciles the waiters bit with the queue. m.mu held.
@@ -916,8 +944,9 @@ func (m *Mutex) unlockSlow(h *Handle) {
 		panic("scl: Unlock of unlocked Mutex")
 	}
 	fastAcquired := m.fastHeld
+	e := m.acct.Lookup(h.id)
 	// A fast hold is the owner bits' entity's; a slow one is on the books.
-	if fastAcquired && word&wordOwner != ownerBits(h.id) || !fastAcquired && !m.acct.Holding(h.id) {
+	if fastAcquired && word&wordOwner != ownerBits(h.id) || !fastAcquired && !e.Holding() {
 		panic("scl: Unlock of a Mutex held by another entity")
 	}
 	now := monotime()
@@ -928,15 +957,15 @@ func (m *Mutex) unlockSlow(h *Handle) {
 		// the fold above; run a zero-length release purely for the slice
 		// boundary decision (expiry, penalty).
 		m.fastHeld = false
-		m.acct.OnAcquire(h.id, now)
-		rel = m.acct.OnRelease(h.id, now)
+		e = m.acct.AcquireEntry(h.id, e, now)
+		rel = m.acct.ReleaseEntry(e, now)
 		if m.csStart > 0 {
 			rel.Hold = now - m.csStart
 			m.csStart = 0
 		}
 	} else {
-		rel = m.acct.OnRelease(h.id, now)
-		m.stats.onRelease(int64(h.id), now)
+		rel = m.acct.ReleaseEntry(e, now)
+		m.stats.onRelease(m.stats.of(h.ref), now)
 	}
 	if t := m.tracer.load(); t != nil {
 		t.OnRelease(m.event(trace.KindRelease, now, h.id, h.name, rel.Hold))
@@ -951,8 +980,7 @@ func (m *Mutex) unlockSlow(h *Handle) {
 	// in the same CAS that shuts the fast path out of the decision: a
 	// free, live word naming this entity would let a sibling handle
 	// fast-acquire while a grant below lands on top of it.
-	_, open := m.refs[h.id]
-	ghost := !open && !m.entityQueued(h.id)
+	ghost := h.ref.open == 0 && !m.entityQueued(h.id)
 	var intra *waiter
 	if !ghost && !rel.SliceExpired {
 		// Work-conserving groups (paper §6): a queued sibling of the
@@ -983,7 +1011,7 @@ func (m *Mutex) unlockSlow(h *Handle) {
 		}
 	}
 	if rel.Penalty > 0 {
-		m.stats.onBan(int64(h.id), rel.Penalty)
+		m.stats.of(h.ref).onBan(rel.Penalty)
 	}
 	switch {
 	case ghost:
@@ -1003,7 +1031,7 @@ func (m *Mutex) unlockSlow(h *Handle) {
 		if m.fastOK {
 			m.fastSince = now
 		}
-		m.armSliceEnd()
+		m.armSliceEnd(now)
 	default:
 		m.maybeReap(now)
 		m.transferLocked(now)
@@ -1021,7 +1049,7 @@ func (m *Mutex) staleBit() uint64 {
 
 // handoff records an ownership grant to w. m.mu held.
 func (m *Mutex) handoff(w *waiter, now time.Duration) {
-	m.stats.onHandoff(int64(w.h.id))
+	m.stats.of(w.h.ref).handoffs++
 	if t := m.tracer.load(); t != nil {
 		t.OnHandoff(m.event(trace.KindHandoff, now, w.h.id, w.h.name, 0))
 	}
@@ -1102,8 +1130,8 @@ func (m *Mutex) endIdleSliceLocked(now time.Duration) bool {
 // the timer is armed for every slice (it bounds the owner's lock-free
 // regime); on a k-SCL it is armed only while waiters could stall behind
 // an owner that stopped acquiring. One reusable timer, armed at most once
-// per slice end. m.mu held.
-func (m *Mutex) armSliceEnd() {
+// per slice end; now is the caller's clock reading. m.mu held.
+func (m *Mutex) armSliceEnd(now time.Duration) {
 	_, ok := m.acct.SliceOwner()
 	if !ok || m.word.Load()&wordTransfer != 0 {
 		return
@@ -1111,7 +1139,7 @@ func (m *Mutex) armSliceEnd() {
 	if !m.fastOK && m.next == nil {
 		return
 	}
-	m.timer.arm(m.acct.SliceEnd())
+	m.timer.arm(m.acct.SliceEnd(), now)
 }
 
 // onSliceTimer runs the slice boundary when the slice end passes outside
@@ -1136,7 +1164,7 @@ func (m *Mutex) onSliceTimer() {
 		return
 	}
 	if !m.acct.SliceExpired(now) {
-		m.armSliceEnd() // the slice was restarted; track the new end
+		m.armSliceEnd(now) // the slice was restarted; track the new end
 		return
 	}
 	w := m.word.Load()

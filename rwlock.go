@@ -523,7 +523,7 @@ func (l *RWLock) rlockSlow() (chan struct{}, time.Duration) {
 	ch := make(chan struct{}, 1)
 	l.waitR = append(l.waitR, rwWaiter{ch: ch, since: now, shard: rwShardIndex()})
 	l.word.mutate(func(x uint64) uint64 { return x | rwWaiters })
-	l.armPhaseTimer()
+	l.armPhaseTimer(now)
 	l.unlockMu()
 	return ch, now
 }
@@ -650,7 +650,7 @@ func (l *RWLock) wlockSlow() (chan struct{}, time.Duration) {
 	// waiters bit going up; no phase timer is armed for a same-class
 	// waiter, so re-run the grant now that the fast path stands down.
 	l.grantLocked(now)
-	l.armPhaseTimer()
+	l.armPhaseTimer(now)
 	l.unlockMu()
 	return ch, now
 }
@@ -824,7 +824,7 @@ func (l *RWLock) advanceLocked(now time.Duration) {
 		}
 	}
 	l.grantLocked(now)
-	l.armPhaseTimer()
+	l.armPhaseTimer(now)
 	l.maybeReleaseQueues(now)
 }
 
@@ -928,8 +928,9 @@ func (l *RWLock) syncWaitersBit() {
 
 // armPhaseTimer schedules a phase re-evaluation at the current slice's end
 // while the opposite class waits. The timer is a single reusable
-// time.Timer armed at most once per slice end. l.mu held.
-func (l *RWLock) armPhaseTimer() {
+// time.Timer armed at most once per slice end; now is the caller's clock
+// reading. l.mu held.
+func (l *RWLock) armPhaseTimer(now time.Duration) {
 	var otherWaits bool
 	if l.ctrl.Phase() == core.PhaseRead {
 		otherWaits = len(l.waitW) > 0
@@ -939,7 +940,7 @@ func (l *RWLock) armPhaseTimer() {
 	if !otherWaits {
 		return
 	}
-	l.timer.arm(l.ctrl.PhaseEnd())
+	l.timer.arm(l.ctrl.PhaseEnd(), now)
 }
 
 // onPhaseTimer re-evaluates the phase when a slice end passes without a

@@ -6,9 +6,10 @@ import (
 	"scl/internal/metrics"
 )
 
-// distCap bounds the per-entity hold/wait reservoirs (Vitter's algorithm
-// R): distributions stay accurate in expectation with fixed memory,
-// however long the lock lives.
+// distCap bounds the per-entity hold/wait reservoirs (Li's Algorithm L):
+// each keeps a uniform sample of the entity's whole history in fixed
+// memory, however long the lock lives, and draws randomness only when it
+// replaces a sample.
 const distCap = 512
 
 // lockStats mirrors the simulator's lock accounting for the real-time
@@ -29,6 +30,9 @@ type lockStats struct {
 	entities   map[int64]*entityStats
 	reaped     int64         // entities removed by the inactive-entity GC
 	reapedHold time.Duration // hold time they had accumulated
+	// gen counts removals from entities. A reference cached under an
+	// older gen may point at a removed entry, so of re-resolves it.
+	gen uint64
 }
 
 type entityStats struct {
@@ -66,6 +70,16 @@ func (s *lockStats) entity(id int64) *entityStats {
 	return e
 }
 
+// of returns the stats entry of ref's entity through the reference cached
+// on it, re-resolving the reference when an entry was removed since it was
+// cached — the entity's own entry included, which is then created afresh.
+func (s *lockStats) of(ref *entityRef) *entityStats {
+	if ref.books == nil || ref.gen != s.gen {
+		ref.books, ref.gen = s.entity(ref.id), s.gen
+	}
+	return ref.books
+}
+
 // settle advances the entity's hold integral to now.
 func (e *entityStats) settle(now time.Duration) {
 	if e.active > 0 && now > e.settledAt {
@@ -74,7 +88,7 @@ func (e *entityStats) settle(now time.Duration) {
 	e.settledAt = now
 }
 
-func (s *lockStats) onAcquire(id int64, name string, now time.Duration, wait time.Duration) {
+func (s *lockStats) onAcquire(e *entityStats, name string, now time.Duration, wait time.Duration) {
 	if s.holders == 0 && now > s.idleStart {
 		// The clamp matters with the atomic fast path: a fold may have
 		// advanced idleStart past the (earlier) start of an in-flight
@@ -82,7 +96,6 @@ func (s *lockStats) onAcquire(id int64, name string, now time.Duration, wait tim
 		s.idle += now - s.idleStart
 	}
 	s.holders++
-	e := s.entity(id)
 	if name != "" {
 		e.name = name
 	}
@@ -95,12 +108,11 @@ func (s *lockStats) onAcquire(id int64, name string, now time.Duration, wait tim
 	e.waits.Add(wait)
 }
 
-func (s *lockStats) onRelease(id int64, now time.Duration) {
+func (s *lockStats) onRelease(e *entityStats, now time.Duration) {
 	s.holders--
 	if s.holders == 0 {
 		s.idleStart = now
 	}
-	e := s.entity(id)
 	e.settle(now)
 	if e.active > 0 {
 		e.active--
@@ -119,11 +131,7 @@ func (s *lockStats) onRelease(id int64, now time.Duration) {
 // zero. Totals (hold, acquisitions, idle) are exact; the hold/wait
 // distributions receive the batch as uniform samples (mean hold, zero
 // wait), since the fast path records no per-operation timestamps.
-func (s *lockStats) fold(id int64, window time.Duration, ops int64, now time.Duration) {
-	if window <= 0 && ops == 0 {
-		return
-	}
-	e := s.entity(id)
+func (s *lockStats) fold(e *entityStats, window time.Duration, ops int64, now time.Duration) {
 	e.settle(now)
 	e.acquisitions += ops
 	e.hold += window
@@ -141,38 +149,25 @@ func (s *lockStats) fold(id int64, window time.Duration, ops int64, now time.Dur
 	}
 }
 
-func (s *lockStats) onBan(id int64, penalty time.Duration) {
-	e := s.entity(id)
+func (e *entityStats) onBan(penalty time.Duration) {
 	e.bans++
 	e.banTime += penalty
 }
 
-func (s *lockStats) onHandoff(id int64) {
-	s.entity(id).handoffs++
-}
-
-// onCombine records that id, while releasing, drained a batch of n
-// combined critical sections (Handle.Do) and executed them itself.
-func (s *lockStats) onCombine(id int64, n int64) {
-	s.entity(id).combines += n
-}
-
 // onCombinedOp books one combiner-executed critical section on behalf of
-// entity id: the exact equivalent of onAcquire(start)/onRelease(end) at
+// entity e: the exact equivalent of onAcquire(start)/onRelease(end) at
 // the closure's measured timestamps — hold integral, acquisition count,
-// wait and hold samples, idle accounting — in a single entity lookup,
-// plus the delegation count. The lock-level holder count is untouched
+// wait and hold samples, idle accounting — plus the delegation count. The lock-level holder count is untouched
 // (the batch runs between the combiner's release and the next acquire,
 // while holders is zero; the held state word, not this counter, is the
 // mutual exclusion).
-func (s *lockStats) onCombinedOp(id int64, name string, start, end, wait time.Duration) {
+func (s *lockStats) onCombinedOp(e *entityStats, name string, start, end, wait time.Duration) {
 	if s.holders == 0 {
 		if start > s.idleStart {
 			s.idle += start - s.idleStart
 		}
 		s.idleStart = end
 	}
-	e := s.entity(id)
 	if name != "" {
 		e.name = name
 	}
@@ -194,8 +189,7 @@ func (s *lockStats) onCombinedOp(id int64, name string, start, end, wait time.Du
 // onAbandon records a cancelled acquisition (a LockContext that gave up
 // mid-ban or mid-queue). No hold or wait lands in the distributions: an
 // abandoned attempt leaves the usage books exactly as if it never queued.
-func (s *lockStats) onAbandon(id int64, name string) {
-	e := s.entity(id)
+func (e *entityStats) onAbandon(name string) {
 	if name != "" {
 		e.name = name
 	}
@@ -218,6 +212,7 @@ func (s *lockStats) onReap(id int64, now time.Duration) string {
 	e.settle(now)
 	s.reapedHold += e.hold
 	delete(s.entities, id)
+	s.gen++
 	return e.name
 }
 
