@@ -43,8 +43,13 @@ race:
 # instead of no-ops, so the race suite also proves the invariants hold.
 # It runs at one and two Ps, the two branches of the combining
 # publisher's wait (combineSpinBudget: park at once, or spin first).
+# The CI-sized schedule exploration follows under the same tag, so every
+# explored schedule also runs the locks' mid-flight assertions
+# (checkFlipLocked at each RW phase flip, debugCheckBooks at each
+# unregistration).
 race-debug:
 	$(GO) test -race -tags scldebug -cpu 1,2 .
+	$(GO) test -race -tags scldebug -short ./internal/check/...
 
 # The end-to-end benchmark (bench/, its own module) under the race
 # detector: its smoke test runs sclload's correctness gate against every

@@ -703,6 +703,62 @@ func BenchmarkRWReadScale(b *testing.B) {
 	}
 }
 
+// BenchmarkRWHandoff measures the RW-SCL's queued path: one reader and
+// one writer goroutine loop on their acquires under a 2ns period, so a
+// class's slice has always expired by its release, and a release that
+// finds the other class queued hands the lock over. Such an acquire
+// parks, is granted by the other class's release, and wakes. Each side
+// yields after its release so the other class can queue first: at
+// -cpu 1 nearly every acquire is handed over; with more Ps an acquire
+// often beats the other class back to the lock and repeats its own
+// class instead. handoffs/op is the share of handed-over acquires, and
+// handoff-ns averages their release-to-acquire gap, as in
+// BenchmarkMutexHandoff. The number is scheduler-bound.
+func BenchmarkRWHandoff(b *testing.B) {
+	l := scl.NewRWLock(1, 1, 2*time.Nanosecond)
+	base := time.Now()
+	// Guarded by l itself: the single reader and the writer exclude each
+	// other, so only the current holder reads or writes them.
+	var (
+		last     = -1          // class of the previous holder (0 reader, 1 writer)
+		relAt    time.Duration // when it began its release
+		handoffs int64
+		gaps     time.Duration
+	)
+	lock := [2]func(){l.RLock, l.WLock}
+	unlock := [2]func(){l.RUnlock, l.WUnlock}
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for c := 0; c < 2; c++ {
+		n := b.N / 2
+		if c == 0 {
+			n = b.N - n
+		}
+		wg.Add(1)
+		go func(me int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				lock[me]()
+				if now := time.Since(base); last >= 0 && last != me {
+					gaps += now - relAt
+					handoffs++
+				}
+				last = me
+				relAt = time.Since(base)
+				unlock[me]()
+				runtime.Gosched() // let the other class queue first
+			}
+		}(c)
+	}
+	wg.Wait()
+	b.StopTimer()
+	if handoffs > 0 {
+		b.ReportMetric(float64(gaps)/float64(handoffs), "handoff-ns")
+	}
+	b.ReportMetric(float64(handoffs)/float64(b.N), "handoffs/op")
+}
+
 // BenchmarkManagerHotKey measures the lock-table overhead on the
 // single-key fast path: one tenant re-acquiring one hot key, so every
 // iteration pays stripe lookup (FNV-1a + stripe mutex), handle-pool

@@ -3,9 +3,11 @@ package scl
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"scl/internal/check"
 	"scl/trace"
 )
 
@@ -233,5 +235,78 @@ func TestLockContextGrantRace(t *testing.T) {
 		}
 		c.Unlock()
 		lcancel()
+	}
+}
+
+// TestRWRacedGrantReleased pins abandonWaiter's granted branch: a
+// writer's WUnlock grants a queued RLockContext (or, in the writer twin,
+// WLockContext) waiter, and the waiter's ctx is cancelled before it
+// resumes. The waiter must report cancellation and hand the grant back
+// — admitted once, released at once — leaving a lock the writer can take
+// again. Under the checker's first-enabled chooser the releasing
+// goroutine runs on from the grant through the cancel with no other
+// goroutine scheduled in between, so the waiter wakes to both at once.
+func TestRWRacedGrantReleased(t *testing.T) {
+	for _, reader := range []bool{true, false} {
+		name := "writer"
+		if reader {
+			name = "reader"
+		}
+		t.Run(name, func(t *testing.T) {
+			sched := check.NewSched(check.NewFirstChooser(), 0)
+			check.Install(sched)
+			defer check.Uninstall(sched)
+			l := NewRWLock(1, 1, 2*time.Millisecond)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var err error
+			var held atomic.Bool
+			reacquired := false
+			sched.Go("writer", func() {
+				l.WLock()
+				held.Store(true)
+				// Hold past the write slice, so the release hands the lock
+				// on to the waiter that queues meanwhile.
+				check.Sleep(1500 * time.Microsecond)
+				l.WUnlock() // grants the waiter
+				cancel()    // before it resumes
+				check.Sleep(time.Millisecond)
+				l.WLock()
+				reacquired = true
+				l.WUnlock()
+			})
+			sched.Go("waiter", func() {
+				check.WaitOrDone("test.held", held.Load, nil)
+				if reader {
+					err = l.RLockContext(ctx)
+				} else {
+					err = l.WLockContext(ctx)
+				}
+			})
+			if res := sched.Run(); res.Failure != nil {
+				t.Fatal(res.Failure)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("waiter err = %v, want context.Canceled", err)
+			}
+			if !reacquired {
+				t.Fatal("the writer could not take the lock again")
+			}
+			st := l.Stats()
+			cancels, admitted, wantAdmitted := st.WriterCancels, st.WriterOps, int64(3)
+			if reader {
+				cancels, admitted, wantAdmitted = st.ReaderCancels, st.ReaderOps, 1
+			}
+			if cancels != 1 {
+				t.Fatalf("cancels = %d, want 1 (stats %+v)", cancels, st)
+			}
+			if admitted != wantAdmitted {
+				t.Fatalf("admissions = %d, want %d: the grant did not race the cancel (stats %+v)",
+					admitted, wantAdmitted, st)
+			}
+			if err := l.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

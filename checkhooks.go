@@ -1,6 +1,7 @@
 package scl
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,12 +10,13 @@ import (
 )
 
 // This file is the locks' seam to the deterministic checker
-// (internal/check), together with the state-word, tracer and timer
-// pieces both locks share. In normal operation every checker hook here
-// degrades to the ordinary primitive at the cost of one atomic
-// nil-check (the same always-compiled pattern as the Tracer hook — a
-// build tag cannot gate these, because `go test ./internal/check` must
-// explore the untagged build everyone actually runs). Under an
+// (internal/check), together with the state-word, tracer, timer and
+// waiter pieces both locks share. In normal operation every checker
+// hook here degrades to the ordinary primitive at the cost of one
+// atomic nil-check (the same always-compiled pattern as the tracer's
+// nil check — a build tag cannot gate these, because
+// `go test ./internal/check` must explore the untagged build everyone
+// actually runs). Under an
 // installed check scheduler (tests only) the hooks reroute: internal
 // mutexes become scheduler-managed resources, the slice/phase timers
 // run on the virtual clock, and blocking waits become predicate parks
@@ -66,6 +68,12 @@ import (
 // request state and the packed word, so the explorer can wake it
 // against any interleaving of the drain. The booking of a drained batch
 // stays with each lock and has no sites of its own.
+//
+// A queued waiter of either lock blocks in parker.await, which parks on
+// its granted flag under the checker: "mu.await" for a Mutex waiter,
+// "rw.rwait" and "rw.wwait" for an RWLock reader and writer. Cancellation
+// wins a tie with the grant, so the explorer drives the raced-grant
+// branch of each lock's abandon path.
 //
 // The RW-SCL's inline write acquire marks "rw.wlock.inline" between
 // observing a free write slice and its CAS raising the writer-active bit
@@ -174,6 +182,61 @@ func (s *tracerSlot) store(t Tracer) {
 		return
 	}
 	s.p.Store(&t)
+}
+
+// parker is a queued waiter's side of a grant, shared by both locks'
+// waiters: the granter sets granted and signals wake under the lock's
+// mutex, and the waiter blocks in await until it sees the flag.
+type parker struct {
+	granted atomic.Bool
+	wake    chan struct{} // buffered(1): at most one pending signal
+}
+
+// await blocks until the waiter is granted (true) or done fires first
+// (false; done == nil never fires). With spin set it yields briefly
+// before sleeping (the Mutex's next-thread prefetch). A false return does
+// not mean the grant cannot still land — the caller resolves the race
+// under the lock's mutex, where grants happen.
+func (p *parker) await(site string, done <-chan struct{}, spin bool) bool {
+	// The Enabled guard keeps the predicate's method value, which escapes
+	// to the heap, off the real runtime's path.
+	if check.Enabled() {
+		if ok, handled := check.WaitOrDone(site, p.granted.Load, done); handled {
+			// Deterministic checker: the scheduler wakes us on grant or
+			// cancellation directly; the spin/futex machinery below is
+			// real-runtime plumbing with no scheduling decisions of its own.
+			return ok
+		}
+	}
+	if spin {
+		for i := 0; i < 64; i++ {
+			if p.granted.Load() {
+				return true
+			}
+			runtime.Gosched()
+		}
+	}
+	for !p.granted.Load() {
+		if done == nil {
+			<-p.wake
+			continue
+		}
+		select {
+		case <-p.wake:
+		case <-done:
+			return false
+		}
+	}
+	return true
+}
+
+// grant hands ownership to the waiter. The lock's mutex is held.
+func (p *parker) grant() {
+	p.granted.Store(true)
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
 }
 
 // lockMutex acquires a lock-internal mutex through the checker hook:

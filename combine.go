@@ -379,10 +379,7 @@ func (m *Mutex) drainCombine(combiner *Handle, now time.Duration) time.Duration 
 	m.lockMu()
 	m.draining = nil
 	now = monotime()
-	t := m.tracer.load()
-	if t != nil {
-		t.OnCombine(m.event(trace.KindCombine, now, combiner.id, combiner.name, total))
-	}
+	m.emit(trace.KindCombine, now, combiner.id, combiner.name, total)
 	m.stats.of(combiner.ref).combines += int64(len(batch))
 	charges := make([]core.Charge, len(batch))
 	for i, r := range batch {
@@ -397,15 +394,11 @@ func (m *Mutex) drainCombine(combiner *Handle, now time.Duration) time.Duration 
 		}
 		books := m.stats.of(r.h.ref)
 		m.stats.onCombinedOp(books, name, r.start, r.end, wait)
-		if t != nil {
-			t.OnAcquire(m.event(trace.KindAcquire, r.start, id, name, wait))
-			t.OnRelease(m.event(trace.KindRelease, r.end, id, name, r.end-r.start))
-		}
+		m.emit(trace.KindAcquire, r.start, id, name, wait)
+		m.emit(trace.KindRelease, r.end, id, name, r.end-r.start)
 		if pens[i] > 0 {
 			books.onBan(pens[i])
-			if t != nil {
-				t.OnBan(m.event(trace.KindBan, r.end, id, name, pens[i]))
-			}
+			m.emit(trace.KindBan, r.end, id, name, pens[i])
 		}
 	}
 	m.combine.finish(batch)

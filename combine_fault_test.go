@@ -28,10 +28,10 @@ func TestAbandonGrantedWakesCombiners(t *testing.T) {
 	// A grant to A is in flight: transfer bit up, waiter marked granted,
 	// A has not taken the lock yet. This is exactly the state after
 	// transferLocked grants the head waiter, before the grantee resumes.
-	w := &waiter{h: a, wake: make(chan struct{}, 1)}
+	w := &waiter{h: a, parker: parker{wake: make(chan struct{}, 1)}}
 	w.granted.Store(true)
 	m.lockMu()
-	m.next = w
+	m.queue = append(m.queue, w)
 	m.word.mutate(func(x uint64) uint64 { return x | wordTransfer })
 	m.syncWaitersBit()
 	m.unlockMu()

@@ -36,11 +36,12 @@
 //     distributions, plus lock-level idle time, Jain fairness indices,
 //     the registered-entity count and inactive-entity reap counters.
 //   - The Tracer interface (Options.Tracer, Mutex.SetTracer,
-//     RWLock.SetTracer) receives a structured trace.Event for every
-//     acquisition, release, slice end, ban, handoff, abandonment and
-//     inactive-entity reap. Package scl/trace provides a lock-free bounded
-//     ring buffer that satisfies Tracer, plus JSONL serialization and
-//     offline aggregation.
+//     RWLock.SetTracer) receives, through its one Record method, a
+//     structured trace.Event for every acquisition, release, slice end,
+//     ban, handoff, abandonment, combined batch and inactive-entity reap;
+//     the trace.Kind constants document each. Package scl/trace
+//     provides a lock-free bounded ring buffer that satisfies Tracer,
+//     plus JSONL serialization and offline aggregation.
 //   - Package scl/export turns any set of locks and rings into continuous
 //     metrics: a Prometheus text-exposition endpoint, expvar publication,
 //     and the JSON snapshot that cmd/scltop renders live.
@@ -148,9 +149,11 @@
 //     entity's usage beyond its proportional share; OnRelease returns it in
 //     Release.Penalty, BannedUntil/Banned enforce it, and Mutex.Lock sleeps
 //     it out before queueing.
-//   - §4.3 "Waiting and handoff" — the waiter queue, spin-then-park
-//     (waiter.await), next-owner prefetch (Mutex.promoteHead) and slice
-//     transfer (Mutex.transferLocked, Mutex.handoff) in mutex.go.
+//   - §4.3 "Waiting and handoff" — the waiter queue (Mutex.queue),
+//     spin-then-park (parker.await, shared with the RWLock's waiters;
+//     only a waiter that arrives at an empty queue spins, the
+//     next-thread prefetch) and slice transfer (Mutex.transferLocked,
+//     Mutex.handoff) in mutex.go.
 //   - §5 RW-SCL — core.RWController (internal/core/rw.go) owns the
 //     read/write phase machine and weighted slice lengths; RWLock
 //     (rwlock.go) adds the real waiters and class accounting.
@@ -198,7 +201,7 @@
 //     exactly like a latecomer, so expiry cannot be farmed for an
 //     accounting advantage.
 //
-// Each reap emits trace.KindReap to the Tracer (Tracer.OnReap), counts in
+// Each reap emits a trace.KindReap event to the Tracer, counts in
 // StatsSnapshot.Reaped/ReapedHold and scl_entities_reaped_total, and the
 // live count is StatsSnapshot.Registered, Mutex.Entities and
 // scl_entities_registered. See examples/churn for the

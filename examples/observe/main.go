@@ -47,7 +47,7 @@ func main() {
 	go loop(hog, 1*time.Millisecond)
 	go loop(light, 100*time.Microsecond)
 
-	rw := scl.NewRWLock(9, 1, 10**slice).SetName("cache")
+	rw := scl.NewRWLock(9, 1, 10**slice, scl.WithName("cache"))
 	go func() {
 		for {
 			rw.RLock()

@@ -183,7 +183,7 @@ func TestVarsHandlerRoundTrip(t *testing.T) {
 }
 
 func TestRegisterRWLockAndExpvar(t *testing.T) {
-	l := scl.NewRWLock(9, 1, 0).SetName("rw")
+	l := scl.NewRWLock(9, 1, 0, scl.WithName("rw"))
 	l.RLock()
 	l.RUnlock()
 	l.WLock()

@@ -6,9 +6,5 @@ package scl
 func QueueLen(m *Mutex) int {
 	m.lockMu()
 	defer m.unlockMu()
-	n := len(m.parked)
-	if m.next != nil {
-		n++
-	}
-	return n
+	return len(m.queue)
 }

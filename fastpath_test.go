@@ -12,26 +12,17 @@ import (
 )
 
 // recTracer records every event in order (thread-safe: the fast path may
-// invoke hooks without the lock's internal mutex).
+// emit without the lock's internal mutex).
 type recTracer struct {
 	mu  sync.Mutex
 	evs []trace.Event
 }
 
-func (r *recTracer) add(ev trace.Event) {
+func (r *recTracer) Record(ev trace.Event) {
 	r.mu.Lock()
 	r.evs = append(r.evs, ev)
 	r.mu.Unlock()
 }
-
-func (r *recTracer) OnAcquire(ev trace.Event)  { r.add(ev) }
-func (r *recTracer) OnRelease(ev trace.Event)  { r.add(ev) }
-func (r *recTracer) OnSliceEnd(ev trace.Event) { r.add(ev) }
-func (r *recTracer) OnBan(ev trace.Event)      { r.add(ev) }
-func (r *recTracer) OnHandoff(ev trace.Event)  { r.add(ev) }
-func (r *recTracer) OnAbandon(ev trace.Event)  { r.add(ev) }
-func (r *recTracer) OnReap(ev trace.Event)     { r.add(ev) }
-func (r *recTracer) OnCombine(ev trace.Event)  { r.add(ev) }
 
 func (r *recTracer) events() []trace.Event {
 	r.mu.Lock()
@@ -148,13 +139,20 @@ func TestScriptedKSCLEventStream(t *testing.T) {
 	}
 }
 
-// sliceEndHook is a recording Tracer whose OnSliceEnd runs fn instead.
+// sliceEndHook is a recording Tracer that runs fn instead of recording a
+// slice-end event.
 type sliceEndHook struct {
 	recTracer
 	fn func()
 }
 
-func (h *sliceEndHook) OnSliceEnd(trace.Event) { h.fn() }
+func (h *sliceEndHook) Record(ev trace.Event) {
+	if ev.Kind == trace.KindSliceEnd {
+		h.fn()
+		return
+	}
+	h.recTracer.Record(ev)
+}
 
 // TestSiblingFastLockShutOutAtSliceEnd: a release that ends the slice
 // must shut the owner fast path out in the same step that drops the

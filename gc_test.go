@@ -178,6 +178,44 @@ func TestCloseWhileQueuedConverges(t *testing.T) {
 	}
 }
 
+// TestCloseOfIdleOwnerHandsOff: an entity that owns the live slice but
+// sits outside the critical section closes its last handle while another
+// entity's waiter is queued to wait out that slice. The departure ends
+// the slice, so the free lock must go to the waiter at once — the
+// hour-long slice's timer would never do it in time.
+func TestCloseOfIdleOwnerHandsOff(t *testing.T) {
+	m := NewMutex(Options{Slice: time.Hour})
+	a := m.Register()
+	b := m.Register()
+	a.Lock()
+	a.Unlock() // a owns the live slice; the lock is free
+	got := make(chan struct{})
+	go func() {
+		b.Lock()
+		close(got)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for QueueLen(m) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("b never queued behind a's slice")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	a.Close()
+	select {
+	case <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the queued waiter was not granted when the slice owner closed")
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	b.Unlock()
+	if n := m.Entities(); n != 1 {
+		t.Fatalf("registered entities = %d, want 1 (a unregistered)", n)
+	}
+}
+
 // TestCloseWhileBannedNoStaleWeight: Close during a ban must remove the
 // entity's weight immediately. If stale weight survived, the remaining
 // lone entity's share would stay at 1/2 and it would keep getting banned

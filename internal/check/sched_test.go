@@ -2,6 +2,7 @@ package check
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -283,35 +284,33 @@ func TestHooksInertWithoutScheduler(t *testing.T) {
 	}
 }
 
-// TestWaitChan: grant-token waits wake on a buffered send and consume
-// the token; cancelled waits leave it.
-func TestWaitChan(t *testing.T) {
+// TestWaitOrDoneTie: a grant wait wakes when its predicate turns true,
+// and a wait woken with the predicate true and done closed at once
+// reports cancellation — the raced-grant window both locks' abandon
+// paths resolve under their internal mutex.
+func TestWaitOrDoneTie(t *testing.T) {
 	res := runUnder(t, NewFirstChooser(), func(s *Sched) {
-		ch := make(chan struct{}, 1)
+		var granted atomic.Bool
 		done := make(chan struct{})
 		s.Go("waiter", func() {
-			if !WaitChan("grant", ch) {
-				s.Failf("WaitChan not handled")
+			if ok, handled := WaitOrDone("grant", granted.Load, nil); !ok || !handled {
+				s.Failf("uncancellable wait: ok=%v handled=%v", ok, handled)
 			}
-			if len(ch) != 0 {
-				s.Failf("token not consumed")
-			}
-			ok, _ := WaitChanOrDone("grant2", ch, done)
-			if ok {
+			granted.Store(false)
+			if ok, _ := WaitOrDone("grant2", granted.Load, done); ok {
 				s.Failf("want cancellation")
 			}
-			if len(ch) != 1 {
-				s.Failf("cancelled wait must not consume the token")
+			if !granted.Load() {
+				s.Failf("woke before the grant landed")
 			}
 		})
 		s.Go("granter", func() {
 			Sleep(time.Millisecond)
-			ch <- struct{}{}
+			granted.Store(true)
 			Sleep(time.Millisecond)
 			// No schedule point between these two: the waiter wakes seeing
-			// both a buffered grant and a closed done — the raced-grant
-			// window, where cancellation must win and leave the token.
-			ch <- struct{}{}
+			// both the grant and a closed done, and cancellation must win.
+			granted.Store(true)
 			close(done)
 		})
 	})

@@ -3,7 +3,7 @@ package scl
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,10 +19,11 @@ import (
 // opportunity proportional to its weight, regardless of critical-section
 // lengths.
 //
-// Internally it is a K42/MCS-style queue: the head waiter briefly spins
-// (next-thread prefetch) while the rest sleep; ownership transfers at lock
-// slice boundaries; over-users are banned for the penalty period computed
-// by the accounting engine.
+// Internally it is a K42/MCS-style queue: a waiter that arrives at an
+// empty queue briefly spins (next-thread prefetch) before it sleeps, and
+// later arrivals sleep at once; ownership transfers at lock slice
+// boundaries; over-users are banned for the penalty period computed by
+// the accounting engine.
 //
 // # The slice-owner fast path
 //
@@ -70,8 +71,7 @@ type Mutex struct {
 	refs      map[core.ID]*entityRef // open entities, each shared by its handles
 	nextReap  time.Duration          // earliest next inactive-entity sweep
 	fastSince time.Duration          // start of the open fast window (-1: none)
-	next      *waiter
-	parked    []*waiter
+	queue     []*waiter              // FIFO; queue[0] is the next thread
 	// timer drives slice-end processing (onSliceTimer): stale-marking a
 	// fast-path owner, transferring to waiters, clearing an abandoned
 	// slice.
@@ -93,10 +93,9 @@ func ownerBits(id core.ID) uint64 { return (uint64(id) + 1) & wordOwner }
 
 // waiter is one queued Lock call.
 type waiter struct {
-	h       *Handle
-	granted atomic.Bool
-	intra   bool          // intra-class handoff: the slice continues
-	wake    chan struct{} // buffered(1): at most one pending signal
+	parker
+	h     *Handle
+	intra bool // intra-class handoff: the slice continues
 }
 
 // NewMutex creates a Scheduler-Cooperative mutex. Any extra Options
@@ -212,31 +211,40 @@ func (h *Handle) Close() {
 	delete(m.refs, h.id)
 	now := monotime()
 	m.fold(now)
-	inFlight := m.acct.Holding(h.id) || m.entityQueued(h.id) || m.entityCombining(h.id)
-	if w := m.word.Load(); !inFlight && w&wordHeld != 0 && w&wordOwner == ownerBits(h.id) {
+	if w := m.word.Load(); w&wordHeld != 0 && w&wordOwner == ownerBits(h.id) && !m.entityBusy(h.id) {
 		// A fast-path hold is in flight (deferred accounting, so the
 		// accountant does not see it). Shut it out with the stale bit —
-		// its release then takes the slow path and observes the closed
-		// refcount — unless the release already landed.
-		w = m.word.mutate(func(x uint64) uint64 { return x | wordStale })
-		inFlight = w&wordHeld != 0
+		// its release then takes the slow path, observes the closed
+		// refcount and drops the ghost — unless the release already landed.
+		if m.word.mutate(func(x uint64) uint64 { return x | wordStale })&wordHeld != 0 {
+			return
+		}
 	}
-	if inFlight {
-		// Unregistering now would let the in-flight operation re-register
-		// the entity with nobody left to remove it — a permanently stale
-		// weight. The final release (or abandonment) runs dropGhostLocked
-		// instead, converging to the same books.
+	m.dropGhostLocked(h.id, now)
+}
+
+// dropGhostLocked unregisters an entity with no open handles once no
+// operation of it is in flight (not holding the lock, not queued, not
+// combining), so no stale weight survives in totalWeight or grandUsage.
+// Close calls it directly. Unregistering under an operation in flight
+// would let it re-register the entity with nobody left to remove it, so
+// such an operation calls it again on completion instead, converging to
+// the same books. m.mu held.
+func (m *Mutex) dropGhostLocked(id core.ID, now time.Duration) {
+	check.Point("mu.dropghost")
+	if _, open := m.refs[id]; open || !m.acct.Registered(id) || m.entityBusy(id) {
 		return
 	}
 	owner, owned := m.acct.SliceOwner()
-	if owned && owner == h.id {
+	owned = owned && owner == id
+	if owned {
+		m.fold(now)
 		m.fastSince = -1
-		m.word.mutate(func(w uint64) uint64 { return w &^ (wordOwner | wordWaiters | wordStale) })
+		m.word.mutate(func(x uint64) uint64 { return x &^ (wordOwner | wordWaiters | wordStale) })
 	}
-	m.acct.Unregister(h.id)
+	m.acct.Unregister(id)
 	m.debugCheckBooks()
-	if owned && owner == h.id && m.next != nil &&
-		m.word.Load()&(wordHeld|wordTransfer) == 0 {
+	if owned && len(m.queue) > 0 && m.word.Load()&(wordHeld|wordTransfer) == 0 {
 		// The departing entity owned the slice with other entities'
 		// waiters queued behind it (waiting out the slice, not the lock).
 		// Its departure ends the slice; hand the free lock over now, or
@@ -246,64 +254,26 @@ func (h *Handle) Close() {
 	}
 }
 
-// dropGhostLocked finishes an unregistration that Close deferred: once an
-// entity with no open handles has no operation in flight (not holding the
-// lock, not queued), its accounting state is removed so no stale weight
-// survives in totalWeight or grandUsage. m.mu held.
-func (m *Mutex) dropGhostLocked(id core.ID, now time.Duration) {
-	check.Point("mu.dropghost")
-	if _, open := m.refs[id]; open {
-		return
+// entityBusy reports whether an operation of entity id is in flight: a
+// slow-path hold, a queued waiter, or a published critical section.
+// m.mu held.
+func (m *Mutex) entityBusy(id core.ID) bool {
+	return m.acct.Holding(id) || m.entityQueued(id) || m.entityCombining(id)
+}
+
+// queuedAt returns the queue index of entity id's first waiter, or -1.
+// m.mu held.
+func (m *Mutex) queuedAt(id core.ID) int {
+	for i, w := range m.queue {
+		if w.h.id == id {
+			return i
+		}
 	}
-	if !m.acct.Registered(id) || m.acct.Holding(id) || m.entityQueued(id) ||
-		m.entityCombining(id) {
-		return
-	}
-	ownedSlice := false
-	if w := m.word.Load(); w&wordHeld == 0 && w&wordOwner == ownerBits(id) {
-		m.fold(now)
-		m.fastSince = -1
-		m.word.mutate(func(x uint64) uint64 { return x &^ (wordOwner | wordWaiters | wordStale) })
-		ownedSlice = true
-	}
-	m.acct.Unregister(id)
-	m.debugCheckBooks()
-	if ownedSlice && m.next != nil &&
-		m.word.Load()&(wordHeld|wordTransfer) == 0 {
-		// Same as Close: the ghost owned the slice with other entities
-		// queued behind it; ending its slice must grant the lock onward.
-		m.transferLocked(now)
-	}
+	return -1
 }
 
 // entityQueued reports whether any waiter of entity id is queued. m.mu held.
-func (m *Mutex) entityQueued(id core.ID) bool {
-	if m.next != nil && m.next.h.id == id {
-		return true
-	}
-	for _, w := range m.parked {
-		if w.h.id == id {
-			return true
-		}
-	}
-	return false
-}
-
-// queuedIDs collects the entity IDs currently in the waiter queue (nil
-// when the queue is empty). m.mu held.
-func (m *Mutex) queuedIDs() map[core.ID]struct{} {
-	if m.next == nil && len(m.parked) == 0 {
-		return nil
-	}
-	q := make(map[core.ID]struct{}, len(m.parked)+1)
-	if m.next != nil {
-		q[m.next.h.id] = struct{}{}
-	}
-	for _, w := range m.parked {
-		q[w.h.id] = struct{}{}
-	}
-	return q
-}
+func (m *Mutex) entityQueued(id core.ID) bool { return m.queuedAt(id) >= 0 }
 
 // maybeReap runs the inactive-entity GC (WithInactiveGC; the paper's
 // k-SCL reaps per-thread state idle longer than 1s, §4.4). It is lazy —
@@ -321,40 +291,27 @@ func (m *Mutex) maybeReap(now time.Duration) {
 		return
 	}
 	m.nextReap = now + m.opts.InactiveTimeout/4
-	queued := m.queuedIDs()
 	reaped := m.acct.ExpireInactive(now, func(id core.ID) bool {
-		if _, ok := queued[id]; ok {
-			return true
-		}
-		// A published-but-unexecuted critical section (Handle.Do) is an
-		// operation in flight: reaping its entity would strand the charge.
-		return m.entityCombining(id)
+		// A queued waiter or a published-but-unexecuted critical section
+		// (Handle.Do) is an operation in flight: reaping its entity would
+		// strand the charge.
+		return m.entityQueued(id) || m.entityCombining(id)
 	})
-	t := m.tracer.load()
 	for _, r := range reaped {
 		if ref := m.refs[r.ID]; ref != nil {
 			ref.open = 0
 			delete(m.refs, r.ID)
 		}
-		name := m.stats.onReap(int64(r.ID), now)
-		if t != nil {
-			t.OnReap(m.event(trace.KindReap, now, r.ID, name, r.Idle))
-		}
+		m.emit(trace.KindReap, now, r.ID, m.stats.onReap(int64(r.ID), now), r.Idle)
 	}
 	for id, e := range m.stats.entities {
 		cid := core.ID(id)
 		if e.active != 0 || now-e.settledAt < m.opts.InactiveTimeout ||
-			m.acct.Registered(cid) {
-			continue
-		}
-		if _, ok := queued[cid]; ok {
+			m.acct.Registered(cid) || m.entityQueued(cid) {
 			continue
 		}
 		idle := now - e.settledAt
-		name := m.stats.onReap(id, now)
-		if t != nil {
-			t.OnReap(m.event(trace.KindReap, now, cid, name, idle))
-		}
+		m.emit(trace.KindReap, now, cid, m.stats.onReap(id, now), idle)
 	}
 	if len(reaped) > 0 {
 		m.debugCheckBooks()
@@ -396,10 +353,10 @@ func (m *Mutex) fastLock(h *Handle) bool {
 	}
 	m.fastHeld = true
 	m.fastOps.Add(1)
-	if t := m.tracer.load(); t != nil {
+	if m.tracer.load() != nil {
 		now := monotime()
 		m.csStart = now
-		t.OnAcquire(m.event(trace.KindAcquire, now, h.id, h.name, 0))
+		m.emit(trace.KindAcquire, now, h.id, h.name, 0)
 	} else {
 		m.csStart = 0 // a stale start must not leak into a traced release
 	}
@@ -424,9 +381,9 @@ func (m *Mutex) fastUnlock(h *Handle) bool {
 		// mutual exclusion.
 		return false
 	}
-	t := m.tracer.load()
+	traced := m.tracer.load() != nil
 	var now, hold time.Duration
-	if t != nil {
+	if traced {
 		now = monotime()
 		if m.csStart > 0 {
 			hold = now - m.csStart
@@ -438,8 +395,8 @@ func (m *Mutex) fastUnlock(h *Handle) bool {
 		m.fastHeld = true // slow path will finish this release
 		return false
 	}
-	if t != nil {
-		t.OnRelease(m.event(trace.KindRelease, now, h.id, h.name, hold))
+	if traced {
+		m.emit(trace.KindRelease, now, h.id, h.name, hold)
 	}
 	// A publish that raced the release CAS would otherwise park with
 	// nobody coming to drain it; wake-walk so it observes the free lock.
@@ -539,19 +496,16 @@ func (m *Mutex) lockSlow(h *Handle, ctx context.Context) error {
 		return nil
 	}
 	// Slow path: queue.
-	w := &waiter{h: h, wake: make(chan struct{}, 1)}
-	head := m.next == nil
-	if head {
-		m.next = w
-	} else {
-		m.parked = append(m.parked, w)
-	}
+	w := &waiter{h: h, parker: parker{wake: make(chan struct{}, 1)}}
+	m.queue = append(m.queue, w)
+	head := len(m.queue) == 1
 	m.syncWaitersBit()
 	if head {
 		m.armSliceEnd(now)
 	}
 	m.unlockMu()
-	if !w.await(done, head) {
+	// Only a waiter that found the queue empty spins before parking.
+	if !w.await("mu.await", done, head) {
 		m.abandon(w, reqAt)
 		return ctx.Err()
 	}
@@ -560,14 +514,11 @@ func (m *Mutex) lockSlow(h *Handle, ctx context.Context) error {
 	m.lockMu()
 	now = monotime()
 	e = m.acct.Lookup(h.id)
-	if m.next == w {
-		m.next = nil
-	}
+	m.dequeue(w, now)
 	if !w.intra {
 		// A slice transfer; an intra-class handoff keeps the running slice.
 		m.startSlice(h.id, e, now)
 	}
-	m.promoteHead(now)
 	// Take the lock and retire the grant in one step: the transfer bit
 	// must not clear before the held bit is up, or the previous owner's
 	// fast path could still see a free word naming it.
@@ -596,17 +547,7 @@ func (m *Mutex) abandon(w *waiter, reqAt time.Duration) {
 	defer m.combine.wakeIdle()
 	now := monotime()
 	granted := w.granted.Load() // stable under m.mu: grants happen under it
-	if m.next == w {
-		m.next = nil
-		m.promoteHead(now)
-	} else {
-		for i, p := range m.parked {
-			if p == w {
-				m.parked = append(m.parked[:i], m.parked[i+1:]...)
-				break
-			}
-		}
-	}
+	m.dequeue(w, now)
 	if granted {
 		m.regrantLocked(w, now)
 	}
@@ -630,7 +571,6 @@ func (m *Mutex) regrantLocked(w *waiter, now time.Duration) {
 			if w2 := m.takeClassWaiter(owner); w2 != nil {
 				w2.intra = true
 				m.handoff(w2, now)
-				w2.grant()
 				return
 			}
 		}
@@ -644,9 +584,8 @@ func (m *Mutex) regrantLocked(w *waiter, now time.Duration) {
 	// A slice transfer: hand it to the new queue head, keeping the
 	// transfer bit up throughout (dropping it first would momentarily
 	// reopen the expired slice's fast path for the previous owner).
-	if m.next != nil {
-		m.handoff(m.next, now)
-		m.next.grant()
+	if len(m.queue) > 0 {
+		m.handoff(m.queue[0], now)
 		return
 	}
 	// Nobody left to grant to: retire the transfer and clear the expired
@@ -672,9 +611,7 @@ func (m *Mutex) noteAbandonLocked(h *Handle, now, reqAt time.Duration) {
 		wait = 0
 	}
 	m.stats.of(h.ref).onAbandon(h.name)
-	if t := m.tracer.load(); t != nil {
-		t.OnAbandon(m.event(trace.KindAbandon, now, h.id, h.name, wait))
-	}
+	m.emit(trace.KindAbandon, now, h.id, h.name, wait)
 }
 
 // TryLock attempts to acquire the mutex without blocking and reports
@@ -698,7 +635,7 @@ func (h *Handle) TryLock() bool {
 	if e.BannedUntil() > now {
 		return false
 	}
-	if m.word.Load()&(wordHeld|wordTransfer) != 0 || m.next != nil || len(m.parked) > 0 {
+	if m.word.Load()&(wordHeld|wordTransfer) != 0 || len(m.queue) > 0 {
 		return false
 	}
 	if owner, ok := m.acct.SliceOwner(); ok && owner != h.id && !m.acct.SliceExpired(now) {
@@ -731,7 +668,7 @@ func (m *Mutex) fastEligible(h *Handle, e *core.Entity, now time.Duration) bool 
 	switch {
 	case ok && owner == h.id && !m.acct.SliceExpired(now):
 		return true
-	case !ok && m.next == nil:
+	case !ok && len(m.queue) == 0:
 		m.startSlice(h.id, e, now)
 		return true
 	}
@@ -797,9 +734,7 @@ func (m *Mutex) acquireLocked(h *Handle, e *core.Entity, now, reqAt time.Duratio
 	}
 	m.acct.AcquireEntry(h.id, e, now)
 	m.stats.onAcquire(m.stats.of(h.ref), h.name, now, wait)
-	if t := m.tracer.load(); t != nil {
-		t.OnAcquire(m.event(trace.KindAcquire, now, h.id, h.name, wait))
-	}
+	m.emit(trace.KindAcquire, now, h.id, h.name, wait)
 }
 
 // fold settles the open fast window: the wall-clock span since the window
@@ -824,65 +759,18 @@ func (m *Mutex) fold(now time.Duration) {
 	m.stats.fold(m.stats.entity(int64(owner)), window, ops, now)
 }
 
-// await blocks until the waiter is granted (true) or done fires first
-// (false; done == nil never fires). The queue head spins briefly
-// (next-thread prefetch) before sleeping; others sleep immediately. A
-// false return does not mean the grant cannot still land — the caller must
-// resolve the race under m.mu (see abandon).
-func (w *waiter) await(done <-chan struct{}, head bool) bool {
-	if ok, handled := check.WaitOrDone("mu.await", w.granted.Load, done); handled {
-		// Deterministic checker: the scheduler wakes us on grant or
-		// cancellation directly; the spin/futex machinery below is real-
-		// runtime plumbing with no scheduling decisions of its own.
-		return ok
-	}
-	if head {
-		for i := 0; i < 64; i++ {
-			if w.granted.Load() {
-				return true
-			}
-			runtime.Gosched()
-		}
-	}
-	for !w.granted.Load() {
-		if done == nil {
-			<-w.wake
-			continue
-		}
-		select {
-		case <-w.wake:
-		case <-done:
-			return false
-		}
-	}
-	return true
-}
-
-// grant hands ownership to the waiter. m.mu held.
-func (w *waiter) grant() {
-	w.granted.Store(true)
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
-}
-
-// promoteHead moves the head of the parked queue into the next-thread
-// slot and wakes it so it starts spinning (paper Figure 3 step 8).
-// m.mu held.
-func (m *Mutex) promoteHead(now time.Duration) {
-	if m.next != nil || len(m.parked) == 0 {
+// dequeue removes w from the waiter queue if it is still there (an
+// intra-class grantee taken from behind the head already left it). A
+// newly exposed head re-arms the slice-end timer. m.mu held.
+func (m *Mutex) dequeue(w *waiter, now time.Duration) {
+	i := slices.Index(m.queue, w)
+	if i < 0 {
 		return
 	}
-	w := m.parked[0]
-	m.parked = m.parked[1:]
-	m.next = w
-	// Wake it out of its sleep so it can spin / observe grants promptly.
-	select {
-	case w.wake <- struct{}{}:
-	default:
+	m.queue = slices.Delete(m.queue, i, i+1)
+	if i == 0 && len(m.queue) > 0 {
+		m.armSliceEnd(now)
 	}
-	m.armSliceEnd(now)
 }
 
 // syncWaitersBit reconciles the waiters bit with the queue. m.mu held.
@@ -899,18 +787,10 @@ func (m *Mutex) syncWaitersBit() {
 // word carries no owner bits and never sets the bit. m.mu held.
 func (m *Mutex) waitersBit(w uint64) uint64 {
 	owner := w & wordOwner
-	if owner == 0 {
+	if owner == 0 || m.queuedAt(core.ID(owner-1)) < 0 {
 		return 0
 	}
-	if m.next != nil && ownerBits(m.next.h.id) == owner {
-		return wordWaiters
-	}
-	for _, p := range m.parked {
-		if ownerBits(p.h.id) == owner {
-			return wordWaiters
-		}
-	}
-	return 0
+	return wordWaiters
 }
 
 // Unlock releases the mutex. If the lock slice has expired, ownership
@@ -967,9 +847,7 @@ func (m *Mutex) unlockSlow(h *Handle) {
 		rel = m.acct.ReleaseEntry(e, now)
 		m.stats.onRelease(m.stats.of(h.ref), now)
 	}
-	if t := m.tracer.load(); t != nil {
-		t.OnRelease(m.event(trace.KindRelease, now, h.id, h.name, rel.Hold))
-	}
+	m.emit(trace.KindRelease, now, h.id, h.name, rel.Hold)
 	if m.combine.head.Load() != nil {
 		// Execute published critical sections before surrendering the held
 		// bit: the holder's own hold (measured above) never includes the
@@ -999,18 +877,14 @@ func (m *Mutex) unlockSlow(h *Handle) {
 	case ghost || rel.SliceExpired:
 		raise = m.staleBit()
 	}
-	// A sibling taken from the parked list may have been the owner's last
-	// queued waiter: recompute the waiters bit in the same step.
+	// A sibling taken from behind the queue head may have been the owner's
+	// last queued waiter: recompute the waiters bit in the same step.
 	m.word.mutate(func(w uint64) uint64 { return w&^(wordHeld|wordWaiters) | raise | m.waitersBit(w) })
-	if t := m.tracer.load(); t != nil {
-		if rel.SliceExpired {
-			t.OnSliceEnd(m.event(trace.KindSliceEnd, now, h.id, h.name, rel.SliceUse))
-		}
-		if rel.Penalty > 0 {
-			t.OnBan(m.event(trace.KindBan, now, h.id, h.name, rel.Penalty))
-		}
+	if rel.SliceExpired {
+		m.emit(trace.KindSliceEnd, now, h.id, h.name, rel.SliceUse)
 	}
 	if rel.Penalty > 0 {
+		m.emit(trace.KindBan, now, h.id, h.name, rel.Penalty)
 		m.stats.of(h.ref).onBan(rel.Penalty)
 	}
 	switch {
@@ -1024,7 +898,6 @@ func (m *Mutex) unlockSlow(h *Handle) {
 		m.fastSince = -1
 		intra.intra = true
 		m.handoff(intra, now)
-		intra.grant()
 	case !rel.SliceExpired:
 		// The lock idles with a live slice: open a fast window for the
 		// owner and keep the slice-end timer armed.
@@ -1047,28 +920,26 @@ func (m *Mutex) staleBit() uint64 {
 	return 0
 }
 
-// handoff records an ownership grant to w. m.mu held.
+// handoff records an ownership grant to w and wakes it. m.mu held.
 func (m *Mutex) handoff(w *waiter, now time.Duration) {
 	m.stats.of(w.h.ref).handoffs++
-	if t := m.tracer.load(); t != nil {
-		t.OnHandoff(m.event(trace.KindHandoff, now, w.h.id, w.h.name, 0))
-	}
+	m.emit(trace.KindHandoff, now, w.h.id, w.h.name, 0)
+	w.grant()
 }
 
-// takeClassWaiter finds a queued waiter of the given entity, detaching it
-// from the parked queue (the next slot is cleared by the grantee).
-// m.mu held.
+// takeClassWaiter finds the first queued waiter of the given entity. One
+// behind the head is detached now; the head stays in place until the
+// grantee dequeues itself, as any granted head does. m.mu held.
 func (m *Mutex) takeClassWaiter(owner core.ID) *waiter {
-	if m.next != nil && m.next.h.id == owner {
-		return m.next
+	i := m.queuedAt(owner)
+	if i < 0 {
+		return nil
 	}
-	for i, w := range m.parked {
-		if w.h.id == owner {
-			m.parked = append(m.parked[:i], m.parked[i+1:]...)
-			return w
-		}
+	w := m.queue[i]
+	if i > 0 {
+		m.queue = slices.Delete(m.queue, i, i+1)
 	}
-	return nil
+	return w
 }
 
 // transferLocked hands the free, slice-expired lock to the head waiter or
@@ -1081,7 +952,7 @@ func (m *Mutex) transferLocked(now time.Duration) {
 	m.debugCheckCombineQuiet()
 	m.fold(now)
 	m.fastSince = -1
-	if m.next == nil {
+	if len(m.queue) == 0 {
 		owner, owned := m.acct.SliceOwner()
 		m.acct.ClearSlice()
 		m.word.mutate(func(w uint64) uint64 { return w &^ (wordOwner | wordWaiters | wordStale) })
@@ -1093,8 +964,7 @@ func (m *Mutex) transferLocked(now time.Duration) {
 	if w2 := m.word.mutate(func(w uint64) uint64 { return w | wordTransfer }); debugChecks && w2&wordHeld != 0 {
 		debugFail("slice transfer set while a fast-path holder is active")
 	}
-	m.handoff(m.next, now)
-	m.next.grant()
+	m.handoff(m.queue[0], now)
 }
 
 // endIdleSliceLocked folds and clears an expired slice whose owner sits
@@ -1116,10 +986,8 @@ func (m *Mutex) endIdleSliceLocked(now time.Duration) bool {
 	}
 	m.fold(now)
 	m.fastSince = -1
-	if t := m.tracer.load(); t != nil {
-		// No release will report this slice end; the boundary does.
-		t.OnSliceEnd(m.event(trace.KindSliceEnd, now, owner, "", 0))
-	}
+	// No release will report this slice end; the boundary does.
+	m.emit(trace.KindSliceEnd, now, owner, "", 0)
 	m.acct.ClearSlice()
 	m.word.mutate(func(w uint64) uint64 { return w &^ (wordOwner | wordWaiters | wordStale) })
 	m.dropGhostLocked(owner, now)
@@ -1136,7 +1004,7 @@ func (m *Mutex) armSliceEnd(now time.Duration) {
 	if !ok || m.word.Load()&wordTransfer != 0 {
 		return
 	}
-	if !m.fastOK && m.next == nil {
+	if !m.fastOK && len(m.queue) == 0 {
 		return
 	}
 	m.timer.arm(m.acct.SliceEnd(), now)
@@ -1158,7 +1026,7 @@ func (m *Mutex) onSliceTimer() {
 		// Backstop: an ownerless free lock with waiters is a stranded
 		// transfer (the owner departed via Close or the GC between this
 		// timer's arming and firing); grant it rather than strand them.
-		if m.next != nil && m.word.Load()&(wordHeld|wordTransfer) == 0 {
+		if len(m.queue) > 0 && m.word.Load()&(wordHeld|wordTransfer) == 0 {
 			m.transferLocked(now)
 		}
 		return
@@ -1182,16 +1050,14 @@ func (m *Mutex) onSliceTimer() {
 		m.fold(now)
 		return
 	}
-	if m.next == nil {
+	if len(m.queue) == 0 {
 		m.endIdleSliceLocked(now)
 		return
 	}
 	m.fold(now)
-	if t := m.tracer.load(); t != nil {
-		// The slice ran out while the owner sat outside the critical
-		// section; no release will report it, so the timer does.
-		t.OnSliceEnd(m.event(trace.KindSliceEnd, now, owner, "", 0))
-	}
+	// The slice ran out while the owner sat outside the critical section;
+	// no release will report it, so the timer does.
+	m.emit(trace.KindSliceEnd, now, owner, "", 0)
 	m.transferLocked(now)
 }
 
@@ -1225,8 +1091,7 @@ func (m *Mutex) Entities() int {
 // match the per-entity sums, the slice owner is registered), agreement
 // between the state word's waiters bit and the waiter queue (set exactly
 // when a waiter of the word's slice-owner entity is queued), and the
-// queue's structural invariant (a populated parked list implies a head
-// waiter in the next slot). It is meant for tests — the deterministic
+// states of the published combining requests. It is meant for tests — the deterministic
 // checker calls it between operations of every explored schedule — and
 // reports the first violation found, or nil.
 func (m *Mutex) CheckInvariants() error {
@@ -1237,11 +1102,8 @@ func (m *Mutex) CheckInvariants() error {
 	}
 	w := m.word.Load()
 	if want := m.waitersBit(w); w&wordWaiters != want {
-		return fmt.Errorf("scl: waiters bit %v but owner's entity queued %v (word=%#x next=%v parked=%d)",
-			w&wordWaiters != 0, want != 0, w, m.next != nil, len(m.parked))
-	}
-	if m.next == nil && len(m.parked) > 0 {
-		return fmt.Errorf("scl: %d parked waiters with an empty next slot", len(m.parked))
+		return fmt.Errorf("scl: waiters bit %v but owner's entity queued %v (word=%#x queued=%d)",
+			w&wordWaiters != 0, want != 0, w, len(m.queue))
 	}
 	for r := m.combine.head.Load(); r != nil; r = r.next.Load() {
 		s := r.state.Load()

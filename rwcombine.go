@@ -57,8 +57,7 @@ func (l *RWLock) drainWCombine(now time.Duration) time.Duration {
 		// close out the write phase here.
 		l.lockMu()
 		now := monotime()
-		l.charge(0, true, now) // the drain ran inside the writer-active window
-		l.word.mutate(func(x uint64) uint64 { return x &^ rwWActive })
+		l.releaseWriterLocked(now) // the drain ran inside the writer-active window
 		l.advanceLocked(now)
 		l.unlockMu()
 		l.wcombine.wakeIdle()
@@ -67,16 +66,14 @@ func (l *RWLock) drainWCombine(now time.Duration) time.Duration {
 	now = monotime()
 	l.writerOps.Add(int64(len(batch)))
 	l.writerCombines.Add(int64(len(batch)))
-	if t := l.tracer.load(); t != nil {
-		t.OnCombine(l.event(trace.KindCombine, now, trace.EntityWriters, total))
-		for _, r := range batch {
-			wait := r.start - r.reqAt
-			if wait < 0 {
-				wait = 0
-			}
-			t.OnAcquire(l.event(trace.KindAcquire, r.start, trace.EntityWriters, wait))
-			t.OnRelease(l.event(trace.KindRelease, r.end, trace.EntityWriters, r.end-r.start))
+	l.emit(trace.KindCombine, now, trace.EntityWriters, total)
+	for _, r := range batch {
+		wait := r.start - r.reqAt
+		if wait < 0 {
+			wait = 0
 		}
+		l.emit(trace.KindAcquire, r.start, trace.EntityWriters, wait)
+		l.emit(trace.KindRelease, r.end, trace.EntityWriters, r.end-r.start)
 	}
 	l.wcombine.finish(batch)
 	return now

@@ -3,6 +3,7 @@ package scl
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,8 +66,8 @@ type RWLock struct {
 	// under mu.
 	word lockWord
 
-	waitR []rwWaiter
-	waitW []rwWaiter
+	waitR []*rwWaiter
+	waitW []*rwWaiter
 
 	// inactive (WithInactiveGC) bounds how long empty waiter slabs retain
 	// their grown capacity; emptySince is when both queues last drained
@@ -219,7 +220,7 @@ func (l *RWLock) decReaderLocked() {
 
 // rwWaiter is one queued RLock or WLock call.
 type rwWaiter struct {
-	ch    chan struct{}
+	parker
 	since time.Duration
 	// shard is the read-indicator slot a granted reader is counted in —
 	// recorded at enqueue on the waiter's own goroutine, so its later
@@ -265,20 +266,9 @@ func NewRWLock(readWeight, writeWeight int64, period time.Duration, opts ...Opti
 	return l
 }
 
-// SetName labels the lock in trace events and metrics export.
-func (l *RWLock) SetName(name string) *RWLock {
-	l.lockMu()
-	l.name = name
-	l.unlockMu()
-	return l
-}
-
-// Name returns the lock's configured label ("" if unnamed).
-func (l *RWLock) Name() string {
-	l.lockMu()
-	defer l.unlockMu()
-	return l.name
-}
+// Name returns the lock's configured label ("" if unnamed; WithName sets
+// it at construction).
+func (l *RWLock) Name() string { return l.name }
 
 // SetTracer installs (or, with nil, removes) a Tracer. The reader and
 // writer classes appear as the pseudo-entities trace.EntityReaders and
@@ -296,11 +286,6 @@ func (l *RWLock) SetTracer(t Tracer) {
 	l.phaseStart = now
 	l.tracer.store(t)
 	l.unlockMu()
-}
-
-// event assembles a trace.Event for this lock. l.mu held.
-func (l *RWLock) event(kind trace.Kind, now time.Duration, entity int64, detail time.Duration) trace.Event {
-	return trace.Event{At: now, Kind: kind, Lock: l.name, Entity: entity, Detail: detail}
 }
 
 // charge advances the usage integrals: the interval since the previous
@@ -457,11 +442,7 @@ func (l *RWLock) RLock() {
 	if l.fastRLock() {
 		return
 	}
-	if ch, _ := l.rlockSlow(); ch != nil {
-		if !check.WaitChan("rw.rwait", ch) {
-			<-ch // granted: the granter counted us in our shard
-		}
-	}
+	l.await(l.rlockSlow(), trace.EntityReaders, nil)
 }
 
 // RLockContext acquires the lock shared, like RLock, but gives up when
@@ -477,55 +458,79 @@ func (l *RWLock) RLockContext(ctx context.Context) error {
 	if l.fastRLock() {
 		return nil
 	}
-	ch, since := l.rlockSlow()
-	if ch == nil {
-		return nil
-	}
-	if ok, handled := check.WaitChanOrDone("rw.rwait", ch, ctx.Done()); handled {
-		if ok {
-			return nil
-		}
-		l.abandonWaiter(&l.waitR, ch, trace.EntityReaders, since)
+	if !l.await(l.rlockSlow(), trace.EntityReaders, ctx.Done()) {
 		return ctx.Err()
 	}
-	select {
-	case <-ch:
-		return nil
-	case <-ctx.Done():
-		l.abandonWaiter(&l.waitR, ch, trace.EntityReaders, since)
-		return ctx.Err()
-	}
+	return nil
 }
 
-// rlockSlow runs the shared acquire under l.mu: either inline (nil
-// channel) or queued (the grant channel, plus the enqueue time).
-func (l *RWLock) rlockSlow() (chan struct{}, time.Duration) {
+// rlockSlow runs the shared acquire under l.mu: either inline (nil) or
+// queued (the waiter to await).
+func (l *RWLock) rlockSlow() *rwWaiter {
 	check.Point("rw.rlock.slow")
 	l.lockMu()
 	now := monotime()
 	l.advanceLocked(now)
 	w := l.word.Load()
 	if l.ctrl.Phase() == core.PhaseRead && w&rwWActive == 0 {
-		l.classEntered(now)
-		sum := l.readerSum()
-		l.charge(sum, false, now)
-		if sum == 0 {
-			l.rStart = now
-		}
-		l.shards[rwShardIndex()].count.Add(1)
-		l.readerOps.Add(1)
-		if t := l.tracer.load(); t != nil {
-			t.OnAcquire(l.event(trace.KindAcquire, now, trace.EntityReaders, 0))
-		}
+		l.admitReaderLocked(rwShardIndex(), now)
+		l.emit(trace.KindAcquire, now, trace.EntityReaders, 0)
 		l.unlockMu()
-		return nil, now
+		return nil
 	}
-	ch := make(chan struct{}, 1)
-	l.waitR = append(l.waitR, rwWaiter{ch: ch, since: now, shard: rwShardIndex()})
+	wt := &rwWaiter{parker: parker{wake: make(chan struct{}, 1)}, since: now, shard: rwShardIndex()}
+	l.waitR = append(l.waitR, wt)
 	l.word.mutate(func(x uint64) uint64 { return x | rwWaiters })
 	l.armPhaseTimer(now)
 	l.unlockMu()
-	return ch, now
+	return wt
+}
+
+// await blocks a queued waiter of the entity's class (nil: admitted
+// inline, nothing to wait for) until its grant (true), or until done
+// fires first (false; done == nil, the uncancellable RLock/WLock, never
+// fires), after abandonWaiter has resolved the wait. RW waiters park at
+// once: the class is the entity, so there is no next thread to prefetch.
+func (l *RWLock) await(wt *rwWaiter, entity int64, done <-chan struct{}) bool {
+	if wt == nil {
+		return true
+	}
+	site, queue := "rw.wwait", &l.waitW
+	if entity == trace.EntityReaders {
+		site, queue = "rw.rwait", &l.waitR
+	}
+	if wt.await(site, done, false) {
+		return true
+	}
+	l.abandonWaiter(queue, wt, entity)
+	return false
+}
+
+// admitReaderLocked counts one reader in on the given indicator shard:
+// the read-side admit of an inline RLock and of each granted waiter.
+// l.mu held.
+func (l *RWLock) admitReaderLocked(shard int, now time.Duration) {
+	l.classEntered(now)
+	sum := l.readerSum()
+	l.charge(sum, false, now)
+	if sum == 0 {
+		l.rStart = now
+	}
+	l.shards[shard].count.Add(1)
+	l.readerOps.Add(1)
+}
+
+// releaseReaderLocked counts one reader out of an indicator whose sum,
+// the releasing reader included, is sum: an RUnlock, or a raced grant
+// handed back by abandonWaiter. l.mu held.
+func (l *RWLock) releaseReaderLocked(sum int64, now time.Duration) {
+	l.charge(sum, l.word.Load()&rwWActive != 0, now)
+	l.decReaderLocked()
+	var busy time.Duration
+	if sum == 1 {
+		busy = now - l.rStart // the union of the overlapping reads
+	}
+	l.emit(trace.KindRelease, now, trace.EntityReaders, busy)
 }
 
 // RUnlock releases a shared hold.
@@ -541,16 +546,7 @@ func (l *RWLock) RUnlock() {
 		l.unlockMu()
 		panic("scl: RUnlock without RLock")
 	}
-	w := l.word.Load()
-	l.charge(sum, w&rwWActive != 0, now)
-	l.decReaderLocked()
-	if t := l.tracer.load(); t != nil {
-		var busy time.Duration
-		if sum == 1 {
-			busy = now - l.rStart // the union of the overlapping reads
-		}
-		t.OnRelease(l.event(trace.KindRelease, now, trace.EntityReaders, busy))
-	}
+	l.releaseReaderLocked(sum, now)
 	l.advanceLocked(now)
 	l.unlockMu()
 }
@@ -579,11 +575,7 @@ func (l *RWLock) WLock() {
 	if l.fastWLock(monotime()) {
 		return
 	}
-	if ch, _ := l.wlockSlow(); ch != nil {
-		if !check.WaitChan("rw.wwait", ch) {
-			<-ch // granted: writer-active already set by the granter
-		}
-	}
+	l.await(l.wlockSlow(), trace.EntityWriters, nil)
 }
 
 // WLockContext acquires the lock exclusive, like WLock, but gives up when
@@ -596,29 +588,15 @@ func (l *RWLock) WLockContext(ctx context.Context) error {
 	if l.fastWLock(monotime()) {
 		return nil
 	}
-	ch, since := l.wlockSlow()
-	if ch == nil {
-		return nil
-	}
-	if ok, handled := check.WaitChanOrDone("rw.wwait", ch, ctx.Done()); handled {
-		if ok {
-			return nil
-		}
-		l.abandonWaiter(&l.waitW, ch, trace.EntityWriters, since)
+	if !l.await(l.wlockSlow(), trace.EntityWriters, ctx.Done()) {
 		return ctx.Err()
 	}
-	select {
-	case <-ch:
-		return nil
-	case <-ctx.Done():
-		l.abandonWaiter(&l.waitW, ch, trace.EntityWriters, since)
-		return ctx.Err()
-	}
+	return nil
 }
 
-// wlockSlow runs the exclusive acquire under l.mu: either inline (nil
-// channel) or queued (the grant channel, plus the enqueue time).
-func (l *RWLock) wlockSlow() (chan struct{}, time.Duration) {
+// wlockSlow runs the exclusive acquire under l.mu: either inline (nil) or
+// queued (the waiter to await).
+func (l *RWLock) wlockSlow() *rwWaiter {
 	check.Point("rw.wlock.slow")
 	l.lockMu()
 	now := monotime()
@@ -632,19 +610,14 @@ func (l *RWLock) wlockSlow() (chan struct{}, time.Duration) {
 	if l.ctrl.Phase() == core.PhaseWrite && w&rwWActive == 0 && l.readerSum() == 0 {
 		check.Point("rw.wlock.inline")
 		if l.word.CompareAndSwap(w, w|rwWActive) {
-			l.classEntered(now)
-			l.charge(0, false, now)
-			l.writerOps.Add(1)
-			l.wStart = now
-			if t := l.tracer.load(); t != nil {
-				t.OnAcquire(l.event(trace.KindAcquire, now, trace.EntityWriters, 0))
-			}
+			l.admitWriterLocked(now)
+			l.emit(trace.KindAcquire, now, trace.EntityWriters, 0)
 			l.unlockMu()
-			return nil, now
+			return nil
 		}
 	}
-	ch := make(chan struct{}, 1)
-	l.waitW = append(l.waitW, rwWaiter{ch: ch, since: now})
+	wt := &rwWaiter{parker: parker{wake: make(chan struct{}, 1)}, since: now}
+	l.waitW = append(l.waitW, wt)
 	l.word.mutate(func(x uint64) uint64 { return x | rwWaiters })
 	// A fastWUnlock may have landed between the observation above and the
 	// waiters bit going up; no phase timer is armed for a same-class
@@ -652,49 +625,54 @@ func (l *RWLock) wlockSlow() (chan struct{}, time.Duration) {
 	l.grantLocked(now)
 	l.armPhaseTimer(now)
 	l.unlockMu()
-	return ch, now
+	return wt
 }
 
-// abandonWaiter resolves a cancelled waiter under l.mu. If the waiter is
-// still queued it simply detaches. If the grant raced the cancellation,
-// the granter has already removed it from the queue and posted the token
-// to its buffered channel (both under l.mu, so the two cases are mutually
-// exclusive and stable here); the token is consumed and the just-granted
-// hold released immediately, letting advanceLocked re-evaluate the phase
-// and wake whoever is eligible — the grant is never lost.
-func (l *RWLock) abandonWaiter(queue *[]rwWaiter, ch chan struct{}, entity int64, since time.Duration) {
+// admitWriterLocked books a writer whose writer-active bit is already
+// up: the write-side admit of an inline WLock and of a granted waiter.
+// l.mu held.
+func (l *RWLock) admitWriterLocked(now time.Duration) {
+	l.classEntered(now)
+	l.charge(0, false, now)
+	l.writerOps.Add(1)
+	l.wStart = now
+}
+
+// releaseWriterLocked ends a writer hold: the hold is charged and the
+// writer-active bit retired. WUnlock, a raced grant handed back by
+// abandonWaiter, and the combining drain's panic backstop all end a hold
+// here; each then advances the phase. l.mu held.
+func (l *RWLock) releaseWriterLocked(now time.Duration) {
+	l.charge(0, true, now)
+	l.word.mutate(func(x uint64) uint64 { return x &^ rwWActive })
+}
+
+// abandonWaiter resolves a cancelled waiter under l.mu. Grants happen
+// under l.mu, so the granted flag is stable here and tells the two cases
+// apart: a waiter still queued simply detaches; a grant that raced the
+// cancellation — the granter already admitted the waiter and removed it
+// from the queue — is released immediately, letting advanceLocked
+// re-evaluate the phase and wake whoever is eligible. The grant is never
+// lost.
+func (l *RWLock) abandonWaiter(queue *[]*rwWaiter, wt *rwWaiter, entity int64) {
 	check.Point("rw.abandon")
 	l.lockMu()
 	defer l.unlockMu()
 	now := monotime()
-	for i, wt := range *queue {
-		if wt.ch == ch {
-			*queue = append((*queue)[:i], (*queue)[i+1:]...)
-			l.syncWaitersBit()
-			l.noteAbandonLocked(entity, now, now-since)
-			return
-		}
+	if !wt.granted.Load() {
+		i := slices.Index(*queue, wt)
+		*queue = slices.Delete(*queue, i, i+1)
+		l.syncWaitersBit()
+		l.noteAbandonLocked(entity, now, now-wt.since)
+		return
 	}
-	<-ch // guaranteed present: granted before we took l.mu
 	if entity == trace.EntityReaders {
-		sum := l.readerSum()
-		l.charge(sum, false, now)
-		l.decReaderLocked()
-		if t := l.tracer.load(); t != nil {
-			var busy time.Duration
-			if sum == 1 {
-				busy = now - l.rStart // the union of the overlapping reads
-			}
-			t.OnRelease(l.event(trace.KindRelease, now, entity, busy))
-		}
+		l.releaseReaderLocked(l.readerSum(), now)
 	} else {
-		l.charge(0, true, now)
-		l.word.mutate(func(x uint64) uint64 { return x &^ rwWActive })
-		if t := l.tracer.load(); t != nil {
-			t.OnRelease(l.event(trace.KindRelease, now, entity, now-l.wStart))
-		}
+		l.releaseWriterLocked(now)
+		l.emit(trace.KindRelease, now, entity, now-l.wStart)
 	}
-	l.noteAbandonLocked(entity, now, now-since)
+	l.noteAbandonLocked(entity, now, now-wt.since)
 	l.advanceLocked(now)
 	// The writer branch cleared writer-active without a drain; wake any
 	// pending Do publishers so they withdraw to the classic path (no-op
@@ -713,9 +691,7 @@ func (l *RWLock) noteAbandonLocked(entity int64, now, waited time.Duration) {
 	} else {
 		l.writerCancels.Add(1)
 	}
-	if t := l.tracer.load(); t != nil {
-		t.OnAbandon(l.event(trace.KindAbandon, now, entity, waited))
-	}
+	l.emit(trace.KindAbandon, now, entity, waited)
 }
 
 // WUnlock releases the exclusive hold.
@@ -732,18 +708,14 @@ func (l *RWLock) WUnlock() {
 		l.unlockMu()
 		panic("scl: WUnlock without WLock")
 	}
-	l.charge(0, true, now)
-	if t := l.tracer.load(); t != nil {
-		t.OnRelease(l.event(trace.KindRelease, now, trace.EntityWriters, now-l.wStart))
-	}
+	l.emit(trace.KindRelease, now, trace.EntityWriters, now-l.wStart)
 	if l.wcombine.head.Load() != nil {
 		// Drain published writer sections while the writer-active bit is
 		// still ours: the closures run under full exclusion, and the
-		// follow-up charge books the drain interval as writer hold.
+		// release charge books the drain interval as writer hold.
 		now = l.drainWCombine(now)
-		l.charge(0, true, now)
 	}
-	l.word.mutate(func(x uint64) uint64 { return x &^ rwWActive })
+	l.releaseWriterLocked(now)
 	l.advanceLocked(now)
 	l.unlockMu()
 	l.wcombine.wakeIdle()
@@ -802,13 +774,11 @@ func (l *RWLock) advanceLocked(now time.Duration) {
 	before := l.ctrl.Phase()
 	if l.ctrl.MaybeSwitch(now, curWants, otherWants) != before {
 		l.phaseFresh = true
-		if t := l.tracer.load(); t != nil {
-			out := trace.EntityReaders
-			if before == core.PhaseWrite {
-				out = trace.EntityWriters
-			}
-			t.OnSliceEnd(l.event(trace.KindSliceEnd, now, out, now-l.phaseStart))
+		out := trace.EntityReaders
+		if before == core.PhaseWrite {
+			out = trace.EntityWriters
 		}
+		l.emit(trace.KindSliceEnd, now, out, now-l.phaseStart)
 		l.phaseStart = now
 		l.word.mutate(func(x uint64) uint64 {
 			x = x&^rwEpoch | (x+1)&rwEpoch // flip advances the epoch
@@ -876,22 +846,11 @@ func (l *RWLock) grantLocked(now time.Duration) {
 		if w&rwWActive != 0 || len(l.waitR) == 0 {
 			return
 		}
-		l.classEntered(now)
-		sum := l.readerSum()
-		l.charge(sum, false, now)
-		if sum == 0 {
-			l.rStart = now
-		}
-		t := l.tracer.load()
 		for _, wt := range l.waitR {
-			l.shards[wt.shard].count.Add(1)
-			l.readerOps.Add(1)
-			if t != nil {
-				t.OnHandoff(l.event(trace.KindHandoff, now, trace.EntityReaders, 0))
-				t.OnAcquire(l.event(trace.KindAcquire, now, trace.EntityReaders, now-wt.since))
-			}
-			wt.ch <- struct{}{}
+			l.admitReaderLocked(wt.shard, now)
+			l.handoffLocked(wt, trace.EntityReaders, now)
 		}
+		clear(l.waitR)
 		l.waitR = l.waitR[:0]
 		return
 	}
@@ -907,18 +866,20 @@ func (l *RWLock) grantLocked(now time.Duration) {
 	if l.readerSum() != 0 {
 		return
 	}
-	l.classEntered(now)
-	l.charge(0, false, now)
 	wt := l.waitW[0]
+	l.waitW[0] = nil
 	l.waitW = l.waitW[1:]
 	l.word.mutate(func(x uint64) uint64 { return x | rwWActive })
-	l.writerOps.Add(1)
-	l.wStart = now
-	if t := l.tracer.load(); t != nil {
-		t.OnHandoff(l.event(trace.KindHandoff, now, trace.EntityWriters, 0))
-		t.OnAcquire(l.event(trace.KindAcquire, now, trace.EntityWriters, now-wt.since))
-	}
-	wt.ch <- struct{}{}
+	l.admitWriterLocked(now)
+	l.handoffLocked(wt, trace.EntityWriters, now)
+}
+
+// handoffLocked completes a queued waiter's admission: the handoff and
+// acquire events, then the grant that wakes it. l.mu held.
+func (l *RWLock) handoffLocked(wt *rwWaiter, entity int64, now time.Duration) {
+	l.emit(trace.KindHandoff, now, entity, 0)
+	l.emit(trace.KindAcquire, now, entity, now-wt.since)
+	wt.grant()
 }
 
 // syncWaitersBit reconciles the waiters bit with the queues. l.mu held.

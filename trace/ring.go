@@ -6,9 +6,9 @@ import "sync/atomic"
 // never take a lock, memory is fixed at construction, and when the buffer
 // wraps the oldest events are dropped (and counted) rather than stalling
 // the lock that is emitting. It is safe for any number of concurrent
-// writers and readers, and it implements scl.Tracer, so it can be plugged
-// directly into scl.Options.Tracer (or RWLock.SetTracer) as an always-on
-// flight recorder.
+// writers and readers, and its Record method makes it an scl.Tracer, so
+// it can be plugged directly into scl.Options.Tracer (or SetTracer) as an
+// always-on flight recorder.
 //
 // Each Record costs one atomic increment plus one small allocation; with
 // tracing disabled (a nil Tracer) the locks pay only a nil check.
@@ -83,29 +83,3 @@ func (r *Ring) Events() []Event {
 	}
 	return out
 }
-
-// The scl.Tracer hooks: a Ring records every kind.
-
-// OnAcquire implements scl.Tracer.
-func (r *Ring) OnAcquire(ev Event) { r.Record(ev) }
-
-// OnRelease implements scl.Tracer.
-func (r *Ring) OnRelease(ev Event) { r.Record(ev) }
-
-// OnSliceEnd implements scl.Tracer.
-func (r *Ring) OnSliceEnd(ev Event) { r.Record(ev) }
-
-// OnBan implements scl.Tracer.
-func (r *Ring) OnBan(ev Event) { r.Record(ev) }
-
-// OnHandoff implements scl.Tracer.
-func (r *Ring) OnHandoff(ev Event) { r.Record(ev) }
-
-// OnAbandon implements scl.Tracer.
-func (r *Ring) OnAbandon(ev Event) { r.Record(ev) }
-
-// OnReap implements scl.Tracer.
-func (r *Ring) OnReap(ev Event) { r.Record(ev) }
-
-// OnCombine implements scl.Tracer.
-func (r *Ring) OnCombine(ev Event) { r.Record(ev) }

@@ -1,5 +1,5 @@
 // Package trace defines the structured lock-event model for the real-time
-// scl stack: the event types emitted through scl.Tracer hooks, a lock-free
+// scl stack: the event types the locks deliver to an scl.Tracer, a lock-free
 // bounded ring recorder (Ring) suitable for always-on production tracing,
 // a JSON-lines dump format for offline analysis, and an aggregator that
 // reconstructs the paper's fairness measurements — per-entity hold time,
@@ -20,7 +20,8 @@ import (
 // Kind classifies a lock event.
 type Kind string
 
-// Event kinds, one per scl.Tracer hook.
+// Event kinds. These are the one description of each event the locks
+// emit and of its Detail.
 const (
 	// KindAcquire: an entity acquired the lock. Detail is the time the
 	// acquisition waited (queueing plus any ban slept out).
@@ -28,9 +29,10 @@ const (
 	// KindRelease: an entity released the lock. Detail is the length of
 	// the critical section that just ended.
 	KindRelease Kind = "release"
-	// KindSliceEnd: the releasing entity's lock slice expired; ownership
-	// is up for transfer. Detail is the hold time accumulated within the
-	// slice.
+	// KindSliceEnd: a lock slice expired and ownership is up for
+	// transfer — at the release that overran it, or on the slice timer
+	// if the owner stopped acquiring. Detail is the hold time accumulated
+	// within the slice (on an RWLock: the outgoing phase's length).
 	KindSliceEnd Kind = "slice-end"
 	// KindBan: a penalty was imposed on an over-using entity. Detail is
 	// the ban length (paper §4.2: computed at release, imposed at the
@@ -50,14 +52,16 @@ const (
 	// k-SCL §4.4) removed the entity's accounting state after it went
 	// idle longer than the configured threshold. Detail is how long the
 	// entity had been idle when reaped. If the entity returns it
-	// re-registers through the join-credit floor.
+	// re-registers through the join-credit floor: a fresh acquire
+	// follows, and no event marks the re-registration itself.
 	KindReap Kind = "reap"
 	// KindCombine: the releasing lock holder drained a batch of published
 	// critical sections (Handle.Do / RWLock.Do) and executed them on the
 	// publishers' behalf. Entity is the combiner; Detail is the summed
 	// critical-section time of the batch. One acquire/release pair per
-	// combined entity follows, so per-entity accounting in the stream is
-	// unchanged — this event only identifies who did the work.
+	// combined entity follows under the publishing entity's own ID, so
+	// per-entity accounting in the stream is unchanged — this event only
+	// identifies who did the work.
 	KindCombine Kind = "combine"
 )
 

@@ -228,19 +228,6 @@ func TestAggregateUnterminatedHold(t *testing.T) {
 	}
 }
 
-func TestRingIsATracer(t *testing.T) {
-	r := NewRing(16)
-	var e Event
-	r.OnAcquire(e)
-	r.OnRelease(e)
-	r.OnSliceEnd(e)
-	r.OnBan(e)
-	r.OnHandoff(e)
-	if got := len(r.Events()); got != 5 {
-		t.Fatalf("hooks recorded %d events, want 5", got)
-	}
-}
-
 func TestAggregateKeysSimDumpsByName(t *testing.T) {
 	// Simulator dumps carry names but zero entity IDs; entities must not
 	// collapse into one.

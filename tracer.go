@@ -7,69 +7,52 @@ import (
 	"scl/trace"
 )
 
-// Tracer receives structured lock events from the real-time locks: one
-// hook per event kind, mirroring the lifecycle of the paper's mechanism
-// (acquire → release → slice end → ban → handoff). Install a Tracer via
-// Options.Tracer (Mutex) or RWLock.SetTracer; a nil Tracer costs the
-// locks only a nil check per operation.
+// Tracer receives structured lock events from the real-time locks. Every
+// event reaches one method, Record; its Kind says what happened, and the
+// trace.Kind constants document each kind and its Detail. Install a
+// Tracer via Options.Tracer (Mutex) or SetTracer; a nil Tracer costs the
+// locks only a nil check per event.
 //
-// Hooks are invoked synchronously from lock operations. Slow-path events
+// Record is called synchronously from lock operations. Slow-path events
 // fire with the lock's internal mutex held; fast-path events (the slice
-// owner's lock-free acquire/release) fire without it, so hooks from
-// distinct handles may run concurrently — implementations must be
+// owner's lock-free acquire/release) fire without it, so events from
+// distinct handles may arrive concurrently — implementations must be
 // concurrency-safe, fast, must not block, and must not call back into
 // the lock. trace.Ring is the built-in implementation — a lock-free
 // bounded flight recorder safe to leave enabled in production.
 type Tracer interface {
-	// OnAcquire fires when an entity acquires the lock. Detail is the
-	// time the acquisition waited (queueing plus any ban slept out).
-	OnAcquire(trace.Event)
-	// OnRelease fires when an entity releases the lock. Detail is the
-	// critical-section length.
-	OnRelease(trace.Event)
-	// OnSliceEnd fires when a lock slice expires (at the release that
-	// overran it, or on the slice timer if the owner stopped acquiring).
-	// Detail is the hold time the owner accumulated within the slice.
-	OnSliceEnd(trace.Event)
-	// OnBan fires when a penalty is imposed on an over-user (paper §4.2:
-	// computed at release, imposed at its next acquire). Detail is the
-	// ban length.
-	OnBan(trace.Event)
-	// OnHandoff fires when ownership is granted to a waiting entity —
-	// a slice transfer, or an intra-entity sibling handoff (paper §6).
-	OnHandoff(trace.Event)
-	// OnAbandon fires when a cancellable acquisition (LockContext,
-	// RLockContext, WLockContext) gives up because its context was
-	// cancelled while it slept out a ban or sat in the waiter queue.
-	// Detail is the time the attempt had waited. No usage was charged
-	// and no matching release event follows.
-	OnAbandon(trace.Event)
-	// OnReap fires when the inactive-entity GC (WithInactiveGC; the
-	// paper's k-SCL §4.4) removes an entity's accounting state after it
-	// went idle longer than the configured threshold. Detail is how long
-	// the entity had been idle. If the entity returns, it re-registers
-	// through the join-credit floor (a fresh OnAcquire follows; no event
-	// marks the re-registration itself).
-	OnReap(trace.Event)
-	// OnCombine fires when a releasing holder drains a batch of combined
-	// critical sections (Handle.Do / RWLock.Do) and executes them on the
-	// publishers' behalf. The event's entity is the combiner and Detail
-	// is the batch's summed critical-section time; one OnAcquire/OnRelease
-	// pair per combined entity follows under the publishing entity's own
-	// ID, so per-entity views of the stream need no special handling.
-	OnCombine(trace.Event)
-}
-
-// event assembles a trace.Event for this lock.
-func (m *Mutex) event(kind trace.Kind, now time.Duration, id core.ID, name string, detail time.Duration) trace.Event {
-	return trace.Event{
-		At:     now,
-		Kind:   kind,
-		Lock:   m.name,
-		Entity: int64(id),
-		Name:   name,
-		Detail: detail,
-	}
+	Record(trace.Event)
 }
 
 var _ Tracer = (*trace.Ring)(nil)
+
+// emit delivers one event of this lock to the installed tracer. It is
+// small enough to inline, so an untraced event costs only the nil check
+// at the call site; record builds the event out of line.
+func (m *Mutex) emit(kind trace.Kind, now time.Duration, id core.ID, name string, detail time.Duration) {
+	if m.tracer.p.Load() != nil {
+		m.record(kind, now, id, name, detail)
+	}
+}
+
+//go:noinline
+func (m *Mutex) record(kind trace.Kind, now time.Duration, id core.ID, name string, detail time.Duration) {
+	if t := m.tracer.load(); t != nil { // a concurrent SetTracer(nil) may have won
+		t.Record(trace.Event{At: now, Kind: kind, Lock: m.name, Entity: int64(id), Name: name, Detail: detail})
+	}
+}
+
+// emit delivers one event of this lock to the installed tracer; see
+// Mutex.emit. The class is the entity, so RW events carry no name.
+func (l *RWLock) emit(kind trace.Kind, now time.Duration, entity int64, detail time.Duration) {
+	if l.tracer.p.Load() != nil {
+		l.record(kind, now, entity, detail)
+	}
+}
+
+//go:noinline
+func (l *RWLock) record(kind trace.Kind, now time.Duration, entity int64, detail time.Duration) {
+	if t := l.tracer.load(); t != nil {
+		t.Record(trace.Event{At: now, Kind: kind, Lock: l.name, Entity: entity, Detail: detail})
+	}
+}

@@ -113,7 +113,7 @@ func TestMutexSetTracerAtRuntime(t *testing.T) {
 // handoff with queueing wait, and reader union-hold on last release.
 func TestRWLockTracer(t *testing.T) {
 	ring := trace.NewRing(1 << 10)
-	l := NewRWLock(1, 1, 2*time.Millisecond).SetName("rw")
+	l := NewRWLock(1, 1, 2*time.Millisecond, WithName("rw"))
 	l.SetTracer(ring)
 	if l.Name() != "rw" {
 		t.Fatalf("name = %q", l.Name())
