@@ -760,13 +760,25 @@ func BenchmarkRWHandoff(b *testing.B) {
 }
 
 // BenchmarkManagerHotKey measures the lock-table overhead on the
-// single-key fast path: one tenant re-acquiring one hot key, so every
-// iteration pays stripe lookup (FNV-1a + stripe mutex), handle-pool
-// checkout, the key lock's own fast path, and the ChargeWindow booking
-// at release. The gap to BenchmarkMutexFastPath is the price of the
-// table.
+// single-key fast path: one tenant re-acquiring one hot key on u-SCL
+// keys (an explicit hour-long slice), so every iteration pays stripe
+// lookup (FNV-1a + stripe mutex), handle-pool checkout, the key lock's
+// own fast path, and the ChargeWindow booking at release. The gap to
+// BenchmarkMutexFastPath is the price of the table.
 func BenchmarkManagerHotKey(b *testing.B) {
-	m := scl.NewManager(scl.ManagerOptions{Lock: scl.Options{Slice: time.Hour}})
+	benchManagerHotKey(b, scl.Options{Slice: time.Hour})
+}
+
+// BenchmarkManagerHotKeyKSCL is the same loop on the table's default
+// k-SCL keys, which have no owner fast path: every iteration takes the
+// key lock's slow path. The gap to BenchmarkManagerHotKey is what the
+// default costs a tenant alone on a hot key.
+func BenchmarkManagerHotKeyKSCL(b *testing.B) {
+	benchManagerHotKey(b, scl.Options{})
+}
+
+func benchManagerHotKey(b *testing.B, lock scl.Options) {
+	m := scl.NewManager(scl.ManagerOptions{Lock: lock})
 	tn := m.Tenant("bench", 1)
 	defer tn.Close()
 	b.ReportAllocs()
@@ -778,15 +790,14 @@ func BenchmarkManagerHotKey(b *testing.B) {
 }
 
 // BenchmarkManagerKeyChurn measures lazy materialization and lock reap
-// under key churn: every iteration acquires a fresh key (k-SCL per-key
-// locks, aggressive lock GC), so the table continually materializes,
-// grants, and reaps. The final Keys() check asserts the reaper kept
+// under key churn: every iteration acquires a fresh key (the default
+// k-SCL per-key locks, aggressive lock GC), so the table continually
+// materializes, grants, and reaps. The final Keys() check asserts the reaper kept
 // the table bounded at benchmark rates — the millions-of-keys story in
 // miniature.
 func BenchmarkManagerKeyChurn(b *testing.B) {
-	m := scl.NewManager(scl.ManagerOptions{
-		Lock: scl.Options{Slice: -1},
-	}, scl.WithLockGC(time.Millisecond), scl.WithTenantGC(10*time.Millisecond))
+	m := scl.NewManager(scl.ManagerOptions{},
+		scl.WithLockGC(time.Millisecond), scl.WithTenantGC(10*time.Millisecond))
 	tn := m.Tenant("bench", 1)
 	defer tn.Close()
 	b.ReportAllocs()

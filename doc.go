@@ -211,7 +211,10 @@
 //
 // Manager scales the same discipline to a keyed namespace — a lock per
 // key, lazily materialized in a striped table, with Tenant as the
-// accounted identity instead of Handle. A tenant holds one accounting
+// accounted identity instead of Handle. The per-key locks are k-SCL
+// unless ManagerOptions.Lock.Slice is positive: a table is shared by
+// many tenants with short holds, the case the paper's kernel lock
+// serves with a zero-length slice (§4.4). A tenant holds one accounting
 // identity per stripe shared across every key it touches, so usage it
 // sprays over many keys is booked together: per-key fairness comes from
 // each key's own SCL, table-level fairness from per-stripe tenant books

@@ -54,7 +54,7 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", "localhost:6061", "HTTP listen address")
-		slice   = flag.Duration("slice", time.Millisecond, "per-key lock slice length")
+		slice   = flag.Duration("slice", 0, "per-key lock slice length (0 = k-SCL keys, the table default)")
 		stripes = flag.Int("stripes", 0, "manager stripes (0 = default)")
 		lockGC  = flag.Duration("lock-gc", 30*time.Second, "reap key locks idle this long (0 = never)")
 		weights = flag.String("weights", "", "tenant weights, e.g. hog=1,batch=2 (default 1)")

@@ -241,6 +241,18 @@ func runWallMutex(c *Compiled) (sim.ScriptResult, error) {
 	return res, nil
 }
 
+// managerOptions is the lock table every substrate that drives a real
+// scl.Manager builds for s. The keys run u-SCL on the scenario's slice,
+// as the sim's per-key locks do: a zero slice is the sim's 2ms default,
+// not the Manager's own zero default (k-SCL keys).
+func managerOptions(s *Scenario) scl.ManagerOptions {
+	slice := s.Slice
+	if slice == 0 {
+		slice = scl.DefaultSlice
+	}
+	return scl.ManagerOptions{Lock: scl.Options{Slice: slice}, Name: s.Name}
+}
+
 // runWallManager executes a multi-key scenario against a real
 // scl.Manager on the real clock: one tenant per entity, keys named
 // k<i>. Where the deterministic substrates decompose a multi-key
@@ -256,10 +268,7 @@ func runWallManager(c *Compiled) (sim.ScriptResult, error) {
 		Bans:     make([]int, len(c.Names)),
 		Hold:     make([]time.Duration, len(c.Names)),
 	}
-	m := scl.NewManager(scl.ManagerOptions{
-		Lock: scl.Options{Slice: s.Slice},
-		Name: s.Name,
-	})
+	m := scl.NewManager(managerOptions(s))
 	var mu sync.Mutex // guards res
 	var wg sync.WaitGroup
 	for k := range c.Keyed {

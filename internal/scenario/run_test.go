@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"scl"
 	"scl/sim"
 )
 
@@ -163,5 +164,59 @@ func TestSummaryShape(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestManagerOptionsKeepSimSlice: a keyed scenario with no `slice` line
+// runs its keys on the sim's 2ms u-SCL slice, so the Manager-backed
+// substrates (wall, explorer) build u-SCL keys too rather than the
+// Manager's zero-slice default of k-SCL keys; a declared slice passes
+// through unchanged. The scenario then runs on the wall substrate.
+func TestManagerOptionsKeepSimSlice(t *testing.T) {
+	const src = `scenario noslice {
+	lock mutex
+	keys 2
+	seed 3
+	horizon 50ms
+	group hot 2 {
+		arrival closed
+		ops 3
+		cs fixed 200us
+		think fixed 300us
+	}
+	group cold 1 {
+		key 1
+		arrival closed
+		ops 2
+		cs fixed 100us
+		think fixed 1ms
+	}
+	assert no-lost-grant
+}`
+	s, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Slice != 0 {
+		t.Fatalf("parsed slice %v, want 0 (no slice line)", s.Slice)
+	}
+	if got := managerOptions(s).Lock.Slice; got != scl.DefaultSlice {
+		t.Fatalf("Manager key slice %v for a scenario with no slice line, want %v", got, scl.DefaultSlice)
+	}
+	declared := *s
+	declared.Slice = 500 * time.Microsecond
+	if got := managerOptions(&declared).Lock.Slice; got != declared.Slice {
+		t.Fatalf("Manager key slice %v, want the declared %v", got, declared.Slice)
+	}
+	c, err := Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunWall(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(r.Grants); got != c.TotalAcquires() {
+		t.Fatalf("wall: %d grants of %d scripted acquires", got, c.TotalAcquires())
 	}
 }

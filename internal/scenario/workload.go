@@ -138,10 +138,7 @@ func managerWorkload(c *Compiled) check.Workload {
 	return check.Workload{
 		Name: "scenario:" + s.Name,
 		Setup: func(sched *check.Sched) {
-			m = scl.NewManager(scl.ManagerOptions{
-				Lock: scl.Options{Slice: s.Slice},
-				Name: s.Name,
-			}, scl.WithStripes(2))
+			m = scl.NewManager(managerOptions(s), scl.WithStripes(2))
 			held := make([]int, len(c.Keyed))
 			for k := range c.Keyed {
 				key := fmt.Sprintf("k%d", k)

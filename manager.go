@@ -14,11 +14,12 @@ import (
 )
 
 // Manager is a keyed lock table: it maps arbitrary string keys to
-// lazily-materialized SCL locks (u-SCL by default, RW-SCL with
-// ManagerOptions.RW) and extends the paper's per-lock opportunity
-// guarantee to the whole table. The scheduler-subversion problem the
-// paper solves for one lock reappears across a lock table — a tenant
-// hammering a million cold keys, or many goroutines on a few hot ones,
+// lazily-materialized SCL locks (k-SCL by default, u-SCL with a
+// positive ManagerOptions.Lock.Slice, RW-SCL with ManagerOptions.RW)
+// and extends the paper's per-lock opportunity guarantee to the whole
+// table. The scheduler-subversion problem the paper solves for one
+// lock reappears across a lock table — a tenant hammering a million
+// cold keys, or many goroutines on a few hot ones,
 // can monopolize the service even though no single lock is abused — so
 // the Manager accounts at two levels:
 //
@@ -26,6 +27,10 @@ import (
 //     entity = tenant: a tenant's goroutines on one key share one
 //     accounted entity (handles pooled as siblings), so on every hot key
 //     lock opportunity is divided by tenant weight exactly as in §3.
+//     The key locks default to k-SCL, as the paper's kernel lock does
+//     (§4.4): a table is shared by many tenants with short holds, and a
+//     key slice that outlives a hold makes every other tenant queued on
+//     the key wait it out after the key is released.
 //   - Per stripe, the Manager keeps tenant books — a core.Accountant
 //     driven in k-SCL style (Accountant.ChargeWindow): every completed
 //     grant books its wall-clock hold window against the tenant, every
@@ -63,16 +68,21 @@ type ManagerOptions struct {
 	// lookup scalability.
 	Stripes int
 	// RW selects RW-SCL (reader-writer) locks for every key in the table;
-	// acquire through Tenant.RLock/WLock. The default is u-SCL mutexes,
-	// acquired through Tenant.Lock.
+	// acquire through Tenant.RLock/WLock. The default is SCL mutexes
+	// (k-SCL unless Lock.Slice is positive), acquired through Tenant.Lock.
 	RW bool
 	// ReadWeight and WriteWeight are the RW-SCL class weights used when RW
 	// is set (zero means 1:1).
 	ReadWeight, WriteWeight int64
 	// Lock configures each materialized per-key lock (slice length, ban
 	// cap, per-key inactive-entity GC, tracer). Options.Name is ignored:
-	// each lock is named after its key. For RW tables, Lock.Slice is the
-	// phase period.
+	// each lock is named after its key. On a mutex table a zero (or
+	// negative) Lock.Slice means k-SCL keys: a zero-length slice, so the
+	// key passes to the next queued tenant at every release and there
+	// is no owner fast path. That differs from a standalone Mutex, where
+	// zero means DefaultSlice. A positive Lock.Slice gives u-SCL keys
+	// with that slice. For RW tables, Lock.Slice is the phase period
+	// (zero means DefaultSlice).
 	Lock Options
 	// LockIdle, when positive, reaps key locks idle (no grant in flight,
 	// no acquisition) for at least this long, keeping the table bounded
@@ -137,7 +147,7 @@ type stripe struct {
 // accounted entity on this key.
 type managedLock struct {
 	key      string
-	mu       *Mutex  // u-SCL tables
+	mu       *Mutex  // mutex tables
 	rw       *RWLock // RW-SCL tables
 	pools    map[core.ID]*tenantPool
 	inflight int           // grants in flight on this key
@@ -557,6 +567,9 @@ func (s *stripe) materializeLocked(m *Manager, key string, now time.Duration) *m
 			ml.rw.SetTracer(lo.Tracer)
 		}
 	} else {
+		if lo.Slice == 0 {
+			lo.Slice = -1 // k-SCL keys: see ManagerOptions.Lock
+		}
 		ml.mu = NewMutex(lo)
 	}
 	s.keys[key] = ml

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"scl/internal/check"
 )
 
 // invariants fails the test on the first manager invariant violation.
@@ -352,4 +355,105 @@ func TestManagerStressKeyChurn(t *testing.T) {
 	}
 	t.Logf("seen %d keys, peak %d live, settled at %d, reaped %d locks / %d tenant identities",
 		st.Materialized, peak, final, st.LocksReaped, st.TenantsReaped)
+}
+
+// keyHandoffAt runs, on the checker clock, a holder tenant that keeps
+// key "k" for hold while a second tenant queues on it, and returns the
+// virtual times of the holder's release and of the waiter's grant.
+func keyHandoffAt(t *testing.T, opts ManagerOptions, hold time.Duration) (released, granted time.Duration) {
+	t.Helper()
+	sched := check.NewSched(check.NewFirstChooser(), 0)
+	check.Install(sched)
+	defer check.Uninstall(sched)
+	m := NewManager(opts)
+	a := m.Tenant("a", 1)
+	b := m.Tenant("b", 1)
+	var held atomic.Bool
+	sched.Go("holder", func() {
+		g := a.Lock("k")
+		held.Store(true)
+		check.Sleep(hold)
+		released = sched.Now()
+		g.Unlock()
+	})
+	sched.Go("waiter", func() {
+		check.WaitOrDone("test.held", held.Load, nil)
+		g := b.Lock("k")
+		granted = sched.Now()
+		g.Unlock()
+	})
+	if res := sched.Run(); res.Failure != nil {
+		t.Fatal(res.Failure)
+	}
+	invariants(t, m)
+	return released, granted
+}
+
+// TestManagerKSCLKeysByDefault: with a zero Lock.Slice the per-key locks
+// are k-SCL, so a tenant queued on a key is granted when the holder
+// releases it, not when the holder's slice would have ended.
+func TestManagerKSCLKeysByDefault(t *testing.T) {
+	const hold = 100 * time.Microsecond
+	released, granted := keyHandoffAt(t, ManagerOptions{}, hold)
+	if released != hold || granted != released {
+		t.Fatalf("released at %v, waiter granted at %v: want both at %v (k-SCL key)", released, granted, hold)
+	}
+	// An explicit slice keeps the u-SCL key: the queued tenant waits out
+	// the holder's slice.
+	_, granted = keyHandoffAt(t, ManagerOptions{Lock: Options{Slice: DefaultSlice}}, hold)
+	if granted < DefaultSlice {
+		t.Fatalf("waiter granted at %v inside the holder's %v slice (u-SCL key)", granted, DefaultSlice)
+	}
+}
+
+// TestManagerExplicitSliceKeepsFastPath: a positive Lock.Slice gives
+// u-SCL keys, on which a tenant re-acquiring its key inside its slice
+// stays on the owner fast path; the default k-SCL key has none.
+func TestManagerExplicitSliceKeepsFastPath(t *testing.T) {
+	const n = 10
+	for _, c := range []struct {
+		slice    time.Duration
+		wantFast int64
+	}{
+		{0, 0},
+		{DefaultSlice, n - 1},
+		{time.Hour, n - 1},
+	} {
+		sched := check.NewSched(check.NewFirstChooser(), 0)
+		check.Install(sched)
+		m := NewManager(ManagerOptions{Lock: Options{Slice: c.slice}})
+		tn := m.Tenant("a", 1)
+		var fast int64
+		sched.Go("owner", func() {
+			for i := 0; i < n; i++ {
+				tn.Lock("k").Unlock()
+			}
+			// Read before Run fires the slice timer, which folds the count.
+			fast = m.stripeOf("k").keys["k"].mu.fastOps.Load()
+		})
+		res := sched.Run()
+		check.Uninstall(sched)
+		if res.Failure != nil {
+			t.Fatal(res.Failure)
+		}
+		if fast != c.wantFast {
+			t.Errorf("Lock.Slice %v: %d fast acquires of %d, want %d", c.slice, fast, n, c.wantFast)
+		}
+		invariants(t, m)
+	}
+}
+
+// TestManagerRWPeriodUnchanged: an RW table keeps Lock.Slice as its
+// phase period, with zero still meaning DefaultSlice.
+func TestManagerRWPeriodUnchanged(t *testing.T) {
+	for _, c := range []struct{ slice, want time.Duration }{
+		{0, DefaultSlice},
+		{5 * time.Millisecond, 5 * time.Millisecond},
+	} {
+		m := NewManager(ManagerOptions{RW: true, Lock: Options{Slice: c.slice}})
+		m.Tenant("w", 1).WLock("k").Unlock()
+		if got := m.stripeOf("k").keys["k"].rw.ctrl.Params().Period; got != c.want {
+			t.Errorf("Lock.Slice %v: phase period %v, want %v", c.slice, got, c.want)
+		}
+	}
 }
