@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build build-matrix fmt-check vet test race race-debug bench-module bench-smoke review-gate docs-check check-explore oracle scenarios bench bench-all
+.PHONY: check build build-matrix fmt-check vet test race race-debug bench-module bench-smoke review-gate docs-check check-explore scenarios bench bench-all
 
 check: build build-matrix fmt-check vet race race-debug bench-module bench-smoke review-gate docs-check
 
@@ -114,10 +114,6 @@ bench: scenarios
 # replayable with `go run ./cmd/sclcheck -mode replay -seed N`.
 check-explore:
 	$(GO) test -short -count=1 ./internal/check/...
-
-# The sim-vs-real differential oracle over the curated scripts.
-oracle:
-	$(GO) run ./cmd/sclcheck -mode oracle
 
 # The full benchmark suite across every package (simulator experiments
 # included); slow, and not recorded in the trajectory.

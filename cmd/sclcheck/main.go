@@ -11,11 +11,11 @@
 //	    one deterministic run of a previously printed schedule seed.
 //	sclcheck -mode dfs -workload mutex-contend -depth 8
 //	    bounded exhaustive enumeration of a small scenario.
-//	sclcheck -mode oracle
-//	    the sim-vs-real differential oracle over the curated scripts.
 //
-// Exit status is non-zero when a failure or undocumented divergence is
-// found.
+// The sim-vs-real differential oracle runs over the scenario corpus:
+// `sclscenario -mode oracle`.
+//
+// Exit status is non-zero when a failure is found.
 package main
 
 import (
@@ -25,13 +25,12 @@ import (
 	"time"
 
 	"scl/internal/check"
-	"scl/internal/check/oracle"
 	"scl/internal/check/workloads"
 )
 
 func main() {
 	var (
-		mode      = flag.String("mode", "explore", "explore, replay, dfs, or oracle")
+		mode      = flag.String("mode", "explore", "explore, replay, or dfs")
 		workload  = flag.String("workload", "mutex-churn", "mutex-churn, mutex-contend, mutex-combine, mutex-siblings, rw-churn, rw-shard, rw-writers, rw-writers-do, or manager-churn")
 		schedules = flag.Int("schedules", 20000, "exploration budget (explore mode)")
 		seed      = flag.Int64("seed", 1, "base seed (explore) or schedule seed (replay)")
@@ -59,34 +58,6 @@ func main() {
 		start := time.Now()
 		sum := check.ExploreDFS(check.DFSOpts{Depth: *depth, MaxRuns: *maxRuns}, w)
 		report(sum, time.Since(start))
-	case "oracle":
-		bad := false
-		report := func(name string, allowed, undocumented []oracle.Divergence, err error) {
-			switch {
-			case err != nil:
-				fmt.Printf("%-12s ERROR %v\n", name, err)
-				bad = true
-			case len(undocumented) > 0:
-				fmt.Printf("%-12s DIVERGED\n", name)
-				for _, d := range undocumented {
-					fmt.Printf("    %v\n", d)
-				}
-				bad = true
-			default:
-				fmt.Printf("%-12s ok (%d documented divergences)\n", name, len(allowed))
-			}
-		}
-		for _, c := range oracle.Cases() {
-			allowed, undocumented, err := c.Run()
-			report(c.Name, allowed, undocumented, err)
-		}
-		for _, c := range oracle.RWCases() {
-			allowed, undocumented, err := c.Run()
-			report(c.Name, allowed, undocumented, err)
-		}
-		if bad {
-			os.Exit(1)
-		}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown -mode %q\n", *mode)
 		os.Exit(2)

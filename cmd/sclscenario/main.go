@@ -79,7 +79,7 @@ func list(dir string) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("%-14s %-6s %4s %8s %9s %7s  %s\n", "scenario", "lock", "keys", "entities", "acquires", "seed", "allow")
+	fmt.Printf("%-18s %-6s %4s %8s %9s %7s  %s\n", "scenario", "lock", "keys", "entities", "acquires", "seed", "allow")
 	for _, s := range corpus {
 		c, err := scenario.Compile(s)
 		if err != nil {
@@ -89,7 +89,7 @@ func list(dir string) {
 		if allow == "" {
 			allow = "-"
 		}
-		fmt.Printf("%-14s %-6s %4d %8d %9d %7d  %s\n", s.Name, s.Lock, s.KeyCount(), s.Entities(), c.TotalAcquires(), s.Seed, allow)
+		fmt.Printf("%-18s %-6s %4d %8d %9d %7d  %s\n", s.Name, s.Lock, s.KeyCount(), s.Entities(), c.TotalAcquires(), s.Seed, allow)
 	}
 }
 
@@ -156,16 +156,16 @@ func oracleMode(dir, file string) {
 		allowed, undocumented, err := scenario.Diff(c)
 		switch {
 		case err != nil:
-			fmt.Printf("%-14s ERROR %v\n", s.Name, err)
+			fmt.Printf("%-18s ERROR %v\n", s.Name, err)
 			bad = true
 		case len(undocumented) > 0:
-			fmt.Printf("%-14s DIVERGED (seed %d)\n", s.Name, c.Seed)
+			fmt.Printf("%-18s DIVERGED (seed %d)\n", s.Name, c.Seed)
 			for _, d := range undocumented {
 				fmt.Printf("    %v\n", d)
 			}
 			bad = true
 		default:
-			fmt.Printf("%-14s ok (%d documented divergences)\n", s.Name, len(allowed))
+			fmt.Printf("%-18s ok (%d documented divergences)\n", s.Name, len(allowed))
 		}
 	}
 	if bad {

@@ -108,13 +108,14 @@ func runOne(o Opts, w Workload, seed int64) Result {
 	default:
 		panic(fmt.Sprintf("check: unknown exploration mode %q", o.Mode))
 	}
-	return runWith(ch, o.MaxSteps, w)
+	return RunWith(ch, o.MaxSteps, w)
 }
 
-// runWith executes one schedule of w under ch with the scheduler
+// RunWith executes one schedule of w under ch with the scheduler
 // installed for the duration (including Validate, which needs the
-// virtual clock).
-func runWith(ch Chooser, maxSteps int, w Workload) Result {
+// virtual clock). maxSteps <= 0 selects NewSched's default. A
+// FirstChooser makes it the single forced-schedule run of a workload.
+func RunWith(ch Chooser, maxSteps int, w Workload) Result {
 	s := NewSched(ch, maxSteps)
 	Install(s)
 	defer Uninstall(s)
@@ -157,7 +158,7 @@ func ExploreDFS(o DFSOpts, w Workload) Summary {
 		if o.MaxRuns > 0 && run >= o.MaxRuns {
 			break
 		}
-		res := runWith(ch, o.MaxSteps, w)
+		res := RunWith(ch, o.MaxSteps, w)
 		sum.Runs++
 		sum.Steps += int64(res.Steps)
 		sigs[res.Sig] = struct{}{}
@@ -187,7 +188,7 @@ func ReplayDFS(o DFSOpts, w Workload, seed int64) *Failure {
 	}
 	ch := newDFSChooser(o.Depth)
 	for run := 0; run <= target; run++ {
-		res := runWith(ch, o.MaxSteps, w)
+		res := RunWith(ch, o.MaxSteps, w)
 		if run == target {
 			if res.Failure != nil {
 				res.Failure.Seed = seed

@@ -26,7 +26,9 @@ import (
 //			arrival closed | poisson <mean> | stepped <step> c1 c2 ...
 //			ops <n>                        (closed/poisson)
 //			cs fixed <d> | uniform <lo> <hi> | exp <mean>
-//			think <dist>                   (closed only)
+//			think <dist>                   (closed only; like a poisson
+//			                                gap, one is waited before
+//			                                the first acquire too)
 //			timeout <dur>                  (mutex only)
 //			close-every <n>                (mutex only)
 //			do                             (mutex only: combine via Handle.Do)

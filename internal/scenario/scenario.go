@@ -8,8 +8,11 @@
 //
 //   - sim: the discrete-event simulator (sim.RunScript/RunRWScript),
 //   - check: the real scl library under the deterministic checker's
-//     virtual clock (internal/check/oracle), and
+//     virtual clock, and
 //   - wall: real goroutines on the real clock.
+//
+// The check and wall substrates and the explorer's Workload share one
+// op loop (drive.go) over the real Mutex, RWLock or Manager.
 //
 // A scenario normally targets one lock; `keys <n>` widens it to a
 // keyed lock table (mutex only), with each group pinned to one key via
@@ -21,11 +24,10 @@
 //
 // Because compilation samples every random draw up front with the
 // scenario's seed, the sim and check substrates see byte-identical
-// workloads and the differential oracle (internal/check/oracle)
-// generalizes from curated scripts to every scenario in the corpus:
-// grant order, timeout and ban counts, and hold shares must agree
-// modulo the oracle's documented divergences plus any per-scenario
-// `allow` lines. The wall substrate shares the same script but runs
+// workloads, and every scenario in the corpus is a differential test
+// (Diff): grant order, timeout and ban counts, and hold shares must
+// agree modulo the documented divergences (diff.go) plus any
+// per-scenario `allow` lines. The wall substrate shares the same script but runs
 // under the real scheduler, so only structural assertions (completion,
 // grant floors) are enforced there; timing-sensitive assertions (Jain
 // floors, share bounds, timeout counts) gate the deterministic
@@ -397,7 +399,7 @@ func (s *Scenario) Validate() error {
 	}
 	for _, code := range s.Allow {
 		switch code {
-		case "grant-order", "timeouts", "bans", "hold-share":
+		case DivGrantOrder, DivTimeouts, DivBans, DivHoldShare:
 		default:
 			return fmt.Errorf("scenario %s: unknown allow code %q", s.Name, code)
 		}

@@ -10,14 +10,14 @@ type RWScriptEntity struct {
 	// Start delays the first op.
 	Start time.Duration
 	// Ops may use OpThink and OpAcquire only (the RW locks have no
-	// per-entity close, and the oracle scripts RW cancellation paths
-	// through the mutex scripts instead).
+	// per-entity close, and the oracle scripts cancellation through
+	// mutex scripts instead).
 	Ops []ScriptOp
 }
 
 // RWScript is the RW-SCL counterpart of Script: a deterministic
 // reader/writer workload executable by both the simulator (RunRWScript)
-// and the real scl.RWLock (internal/check/oracle). The same timing
+// and the real scl.RWLock (internal/scenario, RunCheck). The same timing
 // discipline applies: keep decisions millisecond-separated.
 type RWScript struct {
 	// Period is the phase-alternation period (0 = 2ms).

@@ -9,12 +9,14 @@ import (
 // Script is a fully deterministic, timing-explicit description of a
 // lock workload that can be executed both by this simulator (RunScript)
 // and by the real scl library under the deterministic checker
-// (internal/check/oracle). The two executions are then compared
+// (internal/scenario, RunCheck). The two executions are then compared
 // grant-by-grant. Scripts should keep their timings on the millisecond
 // scale and well separated: the simulator charges nanosecond-scale
 // micro-architectural costs (CAS, wake latency) that the real library's
 // virtual clock does not, so decisions separated by less than ~10µs may
-// legitimately resolve differently on the two sides.
+// legitimately resolve differently on the two sides. For the same
+// reason a re-request that lands exactly on a slice or phase boundary
+// is a tie the two sides may resolve differently.
 
 // ScriptOpKind enumerates the operations of a Script.
 type ScriptOpKind int
