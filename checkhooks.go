@@ -103,7 +103,8 @@ type lockTimer interface {
 // (time.AfterFunc), which dominates runtime under load. It is created
 // on first arm — a virtual-clock timer under an installed check
 // scheduler, time.AfterFunc otherwise — and calls fire, which the lock's
-// constructor sets once. The lock's mutex guards it.
+// constructor sets once; a k-SCL Mutex never arms it, so never creates
+// one. The lock's mutex guards it.
 type boundaryTimer struct {
 	t    lockTimer
 	at   time.Duration // absolute arm target; -1 once fired

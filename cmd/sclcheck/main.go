@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"scl/internal/check"
@@ -31,7 +32,7 @@ import (
 func main() {
 	var (
 		mode      = flag.String("mode", "explore", "explore, replay, or dfs")
-		workload  = flag.String("workload", "mutex-churn", "mutex-churn, mutex-contend, mutex-combine, mutex-siblings, rw-churn, rw-shard, rw-writers, rw-writers-do, or manager-churn")
+		workload  = flag.String("workload", "mutex-churn", strings.Join(workloads.Names(), ", "))
 		schedules = flag.Int("schedules", 20000, "exploration budget (explore mode)")
 		seed      = flag.Int64("seed", 1, "base seed (explore) or schedule seed (replay)")
 		strategy  = flag.String("strategy", "pct", "schedule chooser for explore mode: pct or random")
@@ -66,25 +67,8 @@ func main() {
 
 // pick maps a workload name to its default-configured instance.
 func pick(name string) check.Workload {
-	switch name {
-	case "mutex-churn":
-		return workloads.MutexChurn(workloads.MutexOpts{Seed: 1, Cancel: true, CloseMid: true})
-	case "mutex-contend":
-		return workloads.MutexContend(workloads.ContendOpts{Seed: 1})
-	case "mutex-combine":
-		return workloads.MutexCombine(workloads.CombineOpts{Seed: 1})
-	case "mutex-siblings":
-		return workloads.MutexContend(workloads.ContendOpts{Entities: 2, Siblings: 1, Hold: 500 * time.Microsecond, Think: 500 * time.Microsecond})
-	case "rw-churn":
-		return workloads.RWChurn(workloads.RWOpts{Seed: 1, Cancel: true})
-	case "rw-shard":
-		return workloads.RWShardSweep(workloads.RWShardOpts{Seed: 1})
-	case "rw-writers":
-		return workloads.RWWriters(workloads.RWWritersOpts{})
-	case "rw-writers-do":
-		return workloads.RWWriters(workloads.RWWritersOpts{Do: true})
-	case "manager-churn":
-		return workloads.ManagerChurn(workloads.ManagerOpts{Seed: 1, Cancel: true, CloseMid: true, GC: true})
+	if w, ok := workloads.Named(name); ok {
+		return w
 	}
 	fmt.Fprintf(os.Stderr, "unknown -workload %q\n", name)
 	os.Exit(2)

@@ -127,7 +127,10 @@
 // added. Writers sweep the shards at each phase flip and are admitted
 // only on an exact-zero sum; the fast paths are clock-free, with usage
 // charged regime-granularly by the next slow-path operation (DESIGN.md
-// §3.6). A k-SCL (Slice ≤ 0) has no slices and therefore no fast path.
+// §3.6). A k-SCL (Slice < 0) has no slices and therefore no fast path,
+// and no slice timer either: every release is a slice boundary that
+// hands the lock to the next waiter under the internal mutex, so a
+// k-SCL Mutex never creates one.
 //
 // # Paper-to-code map
 //
@@ -144,7 +147,8 @@
 //     Mutex.fastLock/fastUnlock on the packed state word (see "The
 //     slice-owner fast path" above), with deferred usage batched through
 //     Accountant.FoldSliceUsage; the slice-expiry timer wakeup is
-//     Mutex.onSliceTimer.
+//     Mutex.onSliceTimer (u-SCL only: a k-SCL's release is its own
+//     slice boundary).
 //   - §4.2 "Penalties" — Accountant.penalty computes the ban from the
 //     entity's usage beyond its proportional share; OnRelease returns it in
 //     Release.Penalty, BannedUntil/Banned enforce it, and Mutex.Lock sleeps

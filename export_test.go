@@ -8,3 +8,11 @@ func QueueLen(m *Mutex) int {
 	defer m.unlockMu()
 	return len(m.queue)
 }
+
+// SliceTimerCreated reports whether m has ever created its slice-end
+// timer, read under its internal mutex.
+func SliceTimerCreated(m *Mutex) bool {
+	m.lockMu()
+	defer m.unlockMu()
+	return m.timer.t != nil
+}

@@ -3,11 +3,13 @@ package scl
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"scl/internal/check"
 	"scl/trace"
 )
 
@@ -45,8 +47,13 @@ func normalize(evs []trace.Event) string {
 // and compares the tracer event stream against a golden transcript. The
 // golden was recorded on the pre-fast-path implementation; the atomic
 // slice-owner fast path must reproduce it byte-for-byte (acceptance
-// criterion: identical event streams before/after the fast path).
+// criterion: identical event streams before/after the fast path). The
+// script runs on the checker's virtual clock, so A's three short holds
+// fit inside the 40ms slice however loaded the machine is.
 func TestScriptedScheduleEventStream(t *testing.T) {
+	sched := check.NewSched(check.NewFirstChooser(), 0)
+	check.Install(sched)
+	defer check.Uninstall(sched)
 	rec := &recTracer{}
 	m := NewMutex(Options{Slice: 40 * time.Millisecond, Name: "scripted", Tracer: rec})
 	a := m.Register().SetName("A")
@@ -54,20 +61,30 @@ func TestScriptedScheduleEventStream(t *testing.T) {
 
 	// Script: A takes the slice and re-acquires three times (fast-path
 	// territory), holds through the slice end on the fourth, draws a ban
-	// (it used 100% against a registered peer), then B runs a slice.
-	for i := 0; i < 3; i++ {
+	// (it used 100% against a registered peer), then B runs a slice. The
+	// stream and the stats are read as soon as B releases: the run goes on
+	// to fire B's idle slice end, which is not part of the script.
+	var got string
+	var s StatsSnapshot
+	sched.Go("script", func() {
+		for i := 0; i < 3; i++ {
+			a.Lock()
+			check.Sleep(time.Millisecond)
+			a.Unlock()
+		}
 		a.Lock()
-		time.Sleep(time.Millisecond)
-		a.Unlock()
+		check.Sleep(45 * time.Millisecond) // overruns the 40ms slice
+		a.Unlock()                         // slice end + ban computed here
+		b.Lock()                           // fresh slice for B (A's slice is over)
+		check.Sleep(time.Millisecond)
+		b.Unlock()
+		got = normalize(rec.events())
+		s = m.Stats()
+	})
+	if res := sched.Run(); res.Failure != nil {
+		t.Fatal(res.Failure)
 	}
-	a.Lock()
-	time.Sleep(45 * time.Millisecond) // overruns the 40ms slice
-	a.Unlock()                        // slice end + ban computed here
-	b.Lock()                          // fresh slice for B (A's slice is over)
-	time.Sleep(time.Millisecond)
-	b.Unlock()
 
-	got := normalize(rec.events())
 	want := strings.Join([]string{
 		"acquire A",
 		"release A",
@@ -87,7 +104,6 @@ func TestScriptedScheduleEventStream(t *testing.T) {
 	}
 
 	// The same schedule must land in the stats counters exactly.
-	s := m.Stats()
 	if s.Acquisitions[a.ID()] != 4 || s.Acquisitions[b.ID()] != 1 {
 		t.Fatalf("acquisitions = %d/%d, want 4/1", s.Acquisitions[a.ID()], s.Acquisitions[b.ID()])
 	}
@@ -99,6 +115,36 @@ func TestScriptedScheduleEventStream(t *testing.T) {
 	}
 	if s.Hold[b.ID()] < time.Millisecond {
 		t.Fatalf("B hold = %v, want >= 1ms", s.Hold[b.ID()])
+	}
+}
+
+// TestKSCLArmsNoTimer: a k-SCL's release is its own slice boundary, so a
+// contended k-SCL never creates a slice-end timer. A u-SCL under the same
+// script does, which shows the probe can see one.
+func TestKSCLArmsNoTimer(t *testing.T) {
+	for _, c := range []struct {
+		slice time.Duration
+		timer bool
+	}{{-1, false}, {time.Millisecond, true}} {
+		m := NewMutex(Options{Slice: c.slice})
+		a, b := m.Register(), m.Register()
+		for i := 0; i < 10; i++ {
+			a.Lock()
+			done := make(chan struct{})
+			go func() {
+				b.Lock()
+				b.Unlock()
+				close(done)
+			}()
+			for QueueLen(m) == 0 {
+				runtime.Gosched()
+			}
+			a.Unlock()
+			<-done
+		}
+		if got := SliceTimerCreated(m); got != c.timer {
+			t.Errorf("slice %v: slice-end timer created = %v, want %v", c.slice, got, c.timer)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package check_test
 import (
 	"flag"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,17 +24,12 @@ var (
 	seedFlag = flag.Int64("check.seed", 0,
 		"replay this schedule seed against the selected workload instead of exploring")
 	workloadFlag = flag.String("check.workload", "mutex-churn",
-		"workload for -check.seed replay: mutex-churn, mutex-contend, mutex-combine, mutex-siblings, rw-churn, rw-shard, rw-writers, rw-writers-do, manager-churn, scenario")
+		"workload for -check.seed replay: "+strings.Join(workloads.Names(), ", ")+", or scenario")
 	schedulesFlag = flag.Int("check.schedules", 0,
 		"override the exploration budget (number of schedules)")
 	scenarioFlag = flag.String("check.scenario", "",
 		"scenario file for -check.workload=scenario (bare names resolve in ../scenario/testdata)")
 )
-
-// siblingOpts configures the mutex-siblings workload: one entity locking
-// through two sibling handles beside one foreign entity, with holds short
-// enough to fit several into a slice.
-var siblingOpts = workloads.ContendOpts{Entities: 2, Siblings: 1, Hold: 500 * time.Microsecond, Think: 500 * time.Microsecond}
 
 // scenarioWorkload compiles a scenario file into an explorable
 // workload (see scenario.Workload).
@@ -54,34 +50,17 @@ func scenarioWorkload(t *testing.T, path string) check.Workload {
 
 // namedWorkload returns the workload a -check.seed replay targets.
 func namedWorkload(t *testing.T, name string) check.Workload {
-	switch name {
-	case "mutex-churn":
-		return workloads.MutexChurn(workloads.MutexOpts{Seed: 1, Cancel: true, CloseMid: true})
-	case "mutex-contend":
-		return workloads.MutexContend(workloads.ContendOpts{Seed: 1})
-	case "mutex-combine":
-		return workloads.MutexCombine(workloads.CombineOpts{Seed: 1})
-	case "mutex-siblings":
-		return workloads.MutexContend(siblingOpts)
-	case "rw-churn":
-		return workloads.RWChurn(workloads.RWOpts{Seed: 1, Cancel: true})
-	case "rw-shard":
-		return workloads.RWShardSweep(workloads.RWShardOpts{Seed: 1})
-	case "rw-writers":
-		return workloads.RWWriters(workloads.RWWritersOpts{})
-	case "rw-writers-do":
-		return workloads.RWWriters(workloads.RWWritersOpts{Do: true})
-	case "manager-churn":
-		return workloads.ManagerChurn(workloads.ManagerOpts{Seed: 1, Cancel: true, CloseMid: true, GC: true})
-	case "scenario":
+	if name == "scenario" {
 		if *scenarioFlag == "" {
 			t.Fatalf("-check.workload=scenario needs -check.scenario=<file>")
 		}
 		return scenarioWorkload(t, *scenarioFlag)
-	default:
-		t.Fatalf("unknown -check.workload %q", name)
-		return check.Workload{}
 	}
+	w, ok := workloads.Named(name)
+	if !ok {
+		t.Fatalf("unknown -check.workload %q", name)
+	}
+	return w
 }
 
 // replayIfRequested handles -check.seed: a single deterministic run of
@@ -326,7 +305,7 @@ func TestExploreMutexSiblings(t *testing.T) {
 	if testing.Short() {
 		n = 500
 	}
-	w := workloads.MutexContend(siblingOpts)
+	w, _ := workloads.Named("mutex-siblings")
 	for _, mode := range []string{"random", "pct"} {
 		t.Run(mode, func(t *testing.T) {
 			sum := check.Explore(check.Opts{Schedules: n, Seed: 15, Mode: mode, Depth: 3}, w)
@@ -349,7 +328,7 @@ func TestExploreManagerChurn(t *testing.T) {
 	if *seedFlag != 0 {
 		t.Skip("replay handled by TestExploreMutexChurn")
 	}
-	w := workloads.ManagerChurn(workloads.ManagerOpts{Seed: 9, Cancel: true, CloseMid: true, GC: true})
+	w := workloads.ManagerChurn(workloads.ManagerOpts{Slice: 2 * time.Millisecond, Seed: 9, Cancel: true, CloseMid: true, GC: true})
 	n := 2000
 	if testing.Short() {
 		n = 400
@@ -359,6 +338,35 @@ func TestExploreManagerChurn(t *testing.T) {
 		t.Fatalf("exploration failed:\n%v", sum.Failure)
 	}
 	t.Logf("%d runs, %d distinct schedules", sum.Runs, sum.Distinct)
+}
+
+// TestExploreKSCL explores the k-SCL workloads: zero-length slices, so
+// no fast path and no slice timer, and every release, abandon and ghost
+// drop must hand the lock on by itself. Besides each workload's own
+// guarantees, CheckInvariants after every operation asserts that no
+// queued waiter is left behind a free lock with no grant in flight.
+// manager-kscl reaches the k-SCL keys through the Manager's default.
+func TestExploreKSCL(t *testing.T) {
+	if *seedFlag != 0 {
+		t.Skip("replay handled by TestExploreMutexChurn")
+	}
+	n := 10000
+	if testing.Short() {
+		n = 2000
+	}
+	if *schedulesFlag > 0 {
+		n = *schedulesFlag
+	}
+	for _, name := range []string{"kscl-churn", "kscl-contend", "kscl-siblings", "kscl-combine", "manager-kscl"} {
+		w, _ := workloads.Named(name)
+		t.Run(name, func(t *testing.T) {
+			sum := check.Explore(check.Opts{Schedules: n, Seed: 16, Mode: "pct", Depth: 3}, w)
+			if sum.Failure != nil {
+				t.Fatalf("exploration failed (replay with -check.workload=%s):\n%v", name, sum.Failure)
+			}
+			t.Logf("%d runs, %d distinct schedules", sum.Runs, sum.Distinct)
+		})
+	}
 }
 
 // TestExploreScenarioCorpus runs PCT schedule exploration over every

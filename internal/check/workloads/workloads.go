@@ -18,6 +18,67 @@ import (
 	"scl/internal/check"
 )
 
+// named lists every workload the checker's tools address by name
+// (`sclcheck -workload`, `go test ./internal/check -check.workload`),
+// each in its default configuration. A kscl-* or manager-kscl workload
+// runs k-SCL locks: a zero-length slice, so no fast path and no slice
+// timer, and every release is a slice boundary.
+var named = []struct {
+	name  string
+	build func() check.Workload
+}{
+	{"mutex-churn", func() check.Workload { return MutexChurn(MutexOpts{Seed: 1, Cancel: true, CloseMid: true}) }},
+	{"mutex-contend", func() check.Workload { return MutexContend(ContendOpts{Seed: 1}) }},
+	{"mutex-combine", func() check.Workload { return MutexCombine(CombineOpts{Seed: 1}) }},
+	{"mutex-siblings", func() check.Workload { return MutexContend(siblingOpts(2 * time.Millisecond)) }},
+	{"kscl-churn", func() check.Workload {
+		return MutexChurn(MutexOpts{Slice: -1, Seed: 1, Cancel: true, CloseMid: true, CloseHeld: true, GC: true})
+	}},
+	{"kscl-contend", func() check.Workload { return MutexContend(ContendOpts{Slice: -1, Seed: 1}) }},
+	{"kscl-siblings", func() check.Workload { return MutexContend(siblingOpts(-1)) }},
+	{"kscl-combine", func() check.Workload { return MutexCombine(CombineOpts{Slice: -1, Seed: 1}) }},
+	{"rw-churn", func() check.Workload { return RWChurn(RWOpts{Seed: 1, Cancel: true}) }},
+	{"rw-shard", func() check.Workload { return RWShardSweep(RWShardOpts{Seed: 1}) }},
+	{"rw-writers", func() check.Workload { return RWWriters(RWWritersOpts{}) }},
+	{"rw-writers-do", func() check.Workload { return RWWriters(RWWritersOpts{Do: true}) }},
+	{"manager-churn", func() check.Workload {
+		return ManagerChurn(ManagerOpts{Slice: 2 * time.Millisecond, Seed: 1, Cancel: true, CloseMid: true, GC: true})
+	}},
+	// The Manager's default per-key locks: a zero Lock.Slice makes k-SCL keys.
+	{"manager-kscl", func() check.Workload {
+		return ManagerChurn(ManagerOpts{Seed: 1, Cancel: true, CloseMid: true, GC: true})
+	}},
+}
+
+// Names returns the names Named accepts, in a stable order.
+func Names() []string {
+	out := make([]string, len(named))
+	for i, n := range named {
+		out[i] = n.name
+	}
+	return out
+}
+
+// Named returns the workload called name in its default configuration,
+// carrying that name, or false if no workload has it.
+func Named(name string) (check.Workload, bool) {
+	for _, n := range named {
+		if n.name == name {
+			w := n.build()
+			w.Name = name
+			return w, true
+		}
+	}
+	return check.Workload{}, false
+}
+
+// siblingOpts configures the *-siblings workloads: one entity locking
+// through two sibling handles beside one foreign entity, with holds short
+// enough to fit several into a 2ms slice.
+func siblingOpts(slice time.Duration) ContendOpts {
+	return ContendOpts{Entities: 2, Siblings: 1, Slice: slice, Hold: 500 * time.Microsecond, Think: 500 * time.Microsecond}
+}
+
 // opKind enumerates the scripted operations of the churn workloads.
 type opKind int
 
@@ -27,6 +88,9 @@ const (
 	opCancel // cancellable acquire whose context fires mid-flight
 	opThink  // off-lock virtual time
 	opClose  // close the handle mid-run and reopen a fresh one
+	// opCloseHeld closes the handle while its hold is in flight, releases
+	// through the closed handle (the deferred ghost drop) and reopens.
+	opCloseHeld
 )
 
 type op struct {
@@ -49,6 +113,9 @@ type MutexOpts struct {
 	Cancel bool
 	// CloseMid mixes in mid-run Close/reopen churn.
 	CloseMid bool
+	// CloseHeld turns half of the CloseMid closes into closes while the
+	// lock is held, so the release is a ghost release.
+	CloseHeld bool
 	// GC enables the inactive-entity GC with a tight threshold, pulling
 	// the reap paths into the explored schedules.
 	GC bool
@@ -83,6 +150,9 @@ func (o MutexOpts) script(e int) []op {
 			k = opCancel
 		case r < 9 && o.CloseMid:
 			k = opClose
+			if o.CloseHeld && rng.Intn(2) == 0 {
+				k = opCloseHeld
+			}
 		default:
 			k = opThink
 		}
@@ -173,6 +243,14 @@ func runMutexScript(s *check.Sched, m *scl.Mutex, h *scl.Handle, script []op, he
 		case opClose:
 			h.Close()
 			check.Sleep(o.wait)
+			h = m.Register()
+		case opCloseHeld:
+			h.Lock()
+			enter()
+			h.Close()
+			check.Sleep(o.hold)
+			exit()
+			h.Unlock()
 			h = m.Register()
 		case opThink:
 			check.Sleep(o.wait)
@@ -718,7 +796,8 @@ type ManagerOpts struct {
 	Keys int
 	// Ops is the number of scripted operations per tenant (default 4).
 	Ops int
-	// Slice is the per-key lock slice (default 2ms).
+	// Slice is ManagerOptions.Lock.Slice, the per-key lock slice; zero
+	// keeps the Manager's default, k-SCL keys.
 	Slice time.Duration
 	// Seed derives each tenant's deterministic op script.
 	Seed int64
@@ -740,9 +819,6 @@ func (o *ManagerOpts) defaults() {
 	}
 	if o.Ops <= 0 {
 		o.Ops = 4
-	}
-	if o.Slice == 0 {
-		o.Slice = 2 * time.Millisecond
 	}
 }
 

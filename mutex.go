@@ -40,6 +40,10 @@ import (
 // slice accounting. Slice expiry is enforced by the slice timer, which
 // marks the state word stale so the owner's next operation falls back to
 // the slow path and runs the boundary (transfer, penalty, events).
+//
+// A k-SCL (zero-length slice, Options.Slice < 0) has no fast path and no
+// slice timer: every release is its own slice boundary and hands the
+// lock on under the internal mutex, so no timer is ever created for it.
 type Mutex struct {
 	opts   Options
 	name   string
@@ -72,9 +76,9 @@ type Mutex struct {
 	nextReap  time.Duration          // earliest next inactive-entity sweep
 	fastSince time.Duration          // start of the open fast window (-1: none)
 	queue     []*waiter              // FIFO; queue[0] is the next thread
-	// timer drives slice-end processing (onSliceTimer): stale-marking a
-	// fast-path owner, transferring to waiters, clearing an abandoned
-	// slice.
+	// timer drives a u-SCL's slice-end processing (onSliceTimer):
+	// stale-marking a fast-path owner, transferring to waiters, clearing
+	// an abandoned slice. A k-SCL never arms it (armSliceEnd).
 	timer boundaryTimer
 
 	stats lockStats
@@ -761,7 +765,7 @@ func (m *Mutex) fold(now time.Duration) {
 
 // dequeue removes w from the waiter queue if it is still there (an
 // intra-class grantee taken from behind the head already left it). A
-// newly exposed head re-arms the slice-end timer. m.mu held.
+// newly exposed head re-arms a u-SCL's slice-end timer. m.mu held.
 func (m *Mutex) dequeue(w *waiter, now time.Duration) {
 	i := slices.Index(m.queue, w)
 	if i < 0 {
@@ -994,26 +998,30 @@ func (m *Mutex) endIdleSliceLocked(now time.Duration) bool {
 	return true
 }
 
-// armSliceEnd schedules the slice-end timer. With the fast path enabled
-// the timer is armed for every slice (it bounds the owner's lock-free
-// regime); on a k-SCL it is armed only while waiters could stall behind
-// an owner that stopped acquiring. One reusable timer, armed at most once
-// per slice end; now is the caller's clock reading. m.mu held.
+// armSliceEnd schedules the slice-end timer on a u-SCL, for every slice:
+// it bounds the owner's lock-free regime and ends a slice whose owner
+// stopped acquiring while others wait. A k-SCL never arms it: its slice
+// ends where it starts, so every release, abandon, ghost drop and Close
+// already runs the boundary under m.mu, and a timer would only fire at
+// once to find the lock held (CheckInvariants: a queued k-SCL waiter
+// always has a holder or a grant in flight). One reusable timer, armed
+// at most once per slice end; now is the caller's clock reading. m.mu
+// held.
 func (m *Mutex) armSliceEnd(now time.Duration) {
 	_, ok := m.acct.SliceOwner()
-	if !ok || m.word.Load()&wordTransfer != 0 {
-		return
-	}
-	if !m.fastOK && len(m.queue) == 0 {
+	if !m.fastOK || !ok || m.word.Load()&wordTransfer != 0 {
 		return
 	}
 	m.timer.arm(m.acct.SliceEnd(), now)
 }
 
-// onSliceTimer runs the slice boundary when the slice end passes outside
-// a slow-path operation: it stale-marks a fast-path owner (whose next
-// operation then takes the slow path), transfers a free lock to waiters,
-// or clears an abandoned slice. Stale firings are no-ops.
+// onSliceTimer runs a u-SCL's slice boundary when the slice end passes
+// outside a slow-path operation: it stale-marks a fast-path owner (whose
+// next operation then takes the slow path), transfers a free lock to
+// waiters, or clears an abandoned slice. Stale firings are no-ops. Only
+// a u-SCL arms the timer, so only a u-SCL reaches the ownerless backstop
+// below; a k-SCL's queued waiters always have a holder or a grant in
+// flight, which CheckInvariants asserts.
 func (m *Mutex) onSliceTimer() {
 	check.Point("mu.slicetimer")
 	m.lockMu()
@@ -1090,8 +1098,9 @@ func (m *Mutex) Entities() int {
 // accounting engine's conservation invariants (weight and usage totals
 // match the per-entity sums, the slice owner is registered), agreement
 // between the state word's waiters bit and the waiter queue (set exactly
-// when a waiter of the word's slice-owner entity is queued), and the
-// states of the published combining requests. It is meant for tests — the deterministic
+// when a waiter of the word's slice-owner entity is queued), on a k-SCL
+// that queued waiters have a holder or a grant in flight (no timer would
+// rescue them), and the states of the published combining requests. It is meant for tests — the deterministic
 // checker calls it between operations of every explored schedule — and
 // reports the first violation found, or nil.
 func (m *Mutex) CheckInvariants() error {
@@ -1104,6 +1113,9 @@ func (m *Mutex) CheckInvariants() error {
 	if want := m.waitersBit(w); w&wordWaiters != want {
 		return fmt.Errorf("scl: waiters bit %v but owner's entity queued %v (word=%#x queued=%d)",
 			w&wordWaiters != 0, want != 0, w, len(m.queue))
+	}
+	if !m.fastOK && len(m.queue) > 0 && w&(wordHeld|wordTransfer) == 0 {
+		return fmt.Errorf("scl: k-SCL waiters stranded: %d queued with the lock free and no grant in flight (word=%#x)", len(m.queue), w)
 	}
 	for r := m.combine.head.Load(); r != nil; r = r.next.Load() {
 		s := r.state.Load()

@@ -28,6 +28,18 @@ func stressDuration() time.Duration {
 	return *stressLen
 }
 
+// stressSlices runs a Mutex stress body twice, as subtests: on a u-SCL
+// with the test's own slice ("uscl"), and on a k-SCL ("kscl"), whose
+// slice ends at every release with no slice timer behind it.
+func stressSlices(t *testing.T, slice time.Duration, body func(t *testing.T, m *Mutex)) {
+	for _, c := range []struct {
+		name  string
+		slice time.Duration
+	}{{"uscl", slice}, {"kscl", -1}} {
+		t.Run(c.name, func(t *testing.T) { body(t, NewMutex(Options{Slice: c.slice})) })
+	}
+}
+
 // TestMutexStressContended hammers one Mutex from N goroutines spread
 // over M entities (some sharing an entity through Sibling) and checks the
 // two invariants the fast path must not break: mutual exclusion (a
@@ -35,73 +47,73 @@ func stressDuration() time.Duration {
 // goroutine keeps making progress to the deadline; a dropped grant would
 // hang the test).
 func TestMutexStressContended(t *testing.T) {
-	m := NewMutex(Options{Slice: 100 * time.Microsecond})
-
-	const entities = 4
-	const perEntity = 2 // goroutines per entity (siblings)
-	var handles []*Handle
-	for e := 0; e < entities; e++ {
-		h := m.Register()
-		handles = append(handles, h)
-		for s := 1; s < perEntity; s++ {
-			handles = append(handles, h.Sibling())
-		}
-	}
-
-	var guarded int64 // mutated only inside the critical section, unsynchronized
-	var inCS atomic.Int32
-	var violations atomic.Int64
-	ops := make([]int64, len(handles))
-
-	deadline := time.Now().Add(stressDuration())
-	var wg sync.WaitGroup
-	for i, h := range handles {
-		wg.Add(1)
-		go func(i int, h *Handle) {
-			defer wg.Done()
-			for time.Now().Before(deadline) {
-				h.Lock()
-				if inCS.Add(1) != 1 {
-					violations.Add(1)
-				}
-				guarded++
-				v := guarded
-				runtime.Gosched() // widen the window for exclusion violations
-				if guarded != v {
-					violations.Add(1)
-				}
-				inCS.Add(-1)
-				h.Unlock()
-				ops[i]++
+	stressSlices(t, 100*time.Microsecond, func(t *testing.T, m *Mutex) {
+		const entities = 4
+		const perEntity = 2 // goroutines per entity (siblings)
+		var handles []*Handle
+		for e := 0; e < entities; e++ {
+			h := m.Register()
+			handles = append(handles, h)
+			for s := 1; s < perEntity; s++ {
+				handles = append(handles, h.Sibling())
 			}
-		}(i, h)
-	}
-	wg.Wait()
-
-	if n := violations.Load(); n > 0 {
-		t.Fatalf("%d mutual-exclusion violations", n)
-	}
-	var total int64
-	for i, n := range ops {
-		if n == 0 {
-			t.Errorf("goroutine %d made no progress (lost wakeup?)", i)
 		}
-		total += n
-	}
-	if guarded != total {
-		t.Fatalf("guarded counter = %d, want %d (lost increments)", guarded, total)
-	}
-	s := m.Stats()
-	var acq int64
-	for _, id := range s.IDs() {
-		acq += s.Acquisitions[id]
-	}
-	if acq != total {
-		t.Fatalf("stats count %d acquisitions, observed %d", acq, total)
-	}
-	for _, h := range handles {
-		h.Close()
-	}
+
+		var guarded int64 // mutated only inside the critical section, unsynchronized
+		var inCS atomic.Int32
+		var violations atomic.Int64
+		ops := make([]int64, len(handles))
+
+		deadline := time.Now().Add(stressDuration())
+		var wg sync.WaitGroup
+		for i, h := range handles {
+			wg.Add(1)
+			go func(i int, h *Handle) {
+				defer wg.Done()
+				for time.Now().Before(deadline) {
+					h.Lock()
+					if inCS.Add(1) != 1 {
+						violations.Add(1)
+					}
+					guarded++
+					v := guarded
+					runtime.Gosched() // widen the window for exclusion violations
+					if guarded != v {
+						violations.Add(1)
+					}
+					inCS.Add(-1)
+					h.Unlock()
+					ops[i]++
+				}
+			}(i, h)
+		}
+		wg.Wait()
+
+		if n := violations.Load(); n > 0 {
+			t.Fatalf("%d mutual-exclusion violations", n)
+		}
+		var total int64
+		for i, n := range ops {
+			if n == 0 {
+				t.Errorf("goroutine %d made no progress (lost wakeup?)", i)
+			}
+			total += n
+		}
+		if guarded != total {
+			t.Fatalf("guarded counter = %d, want %d (lost increments)", guarded, total)
+		}
+		s := m.Stats()
+		var acq int64
+		for _, id := range s.IDs() {
+			acq += s.Acquisitions[id]
+		}
+		if acq != total {
+			t.Fatalf("stats count %d acquisitions, observed %d", acq, total)
+		}
+		for _, h := range handles {
+			h.Close()
+		}
+	})
 }
 
 // TestMutexStressProportionalShare saturates a Mutex with equal-weight
@@ -262,43 +274,44 @@ func TestMutexTracerSwapDuringStress(t *testing.T) {
 // counter detects it. (Folded in from the PR 2 throwaway review test,
 // which ran a fixed 3 s; the duration now follows -scl.stress and -short.)
 func TestMutexStressSiblingMix(t *testing.T) {
-	m := NewMutex(Options{Slice: 50 * time.Microsecond})
-	hA := m.Register()
-	hA2 := hA.Sibling()
-	hA3 := hA.Sibling()
-	hB := m.Register()
+	stressSlices(t, 50*time.Microsecond, func(t *testing.T, m *Mutex) {
+		hA := m.Register()
+		hA2 := hA.Sibling()
+		hA3 := hA.Sibling()
+		hB := m.Register()
 
-	var inCS atomic.Int32
-	var violations atomic.Int32
-	deadline := time.Now().Add(stressDuration())
-	var wg sync.WaitGroup
+		var inCS atomic.Int32
+		var violations atomic.Int32
+		deadline := time.Now().Add(stressDuration())
+		var wg sync.WaitGroup
 
-	work := func(h *Handle) {
-		defer wg.Done()
-		for time.Now().Before(deadline) {
-			h.Lock()
-			if inCS.Add(1) != 1 {
-				violations.Add(1)
-			}
-			for i := 0; i < 200; i++ {
-				if inCS.Load() != 1 {
+		work := func(h *Handle) {
+			defer wg.Done()
+			for time.Now().Before(deadline) {
+				h.Lock()
+				if inCS.Add(1) != 1 {
 					violations.Add(1)
-					break
 				}
+				for i := 0; i < 200; i++ {
+					if inCS.Load() != 1 {
+						violations.Add(1)
+						break
+					}
+				}
+				inCS.Add(-1)
+				h.Unlock()
 			}
-			inCS.Add(-1)
-			h.Unlock()
 		}
-	}
-	wg.Add(4)
-	go work(hA)
-	go work(hA2)
-	go work(hA3)
-	go work(hB)
-	wg.Wait()
-	if n := violations.Load(); n > 0 {
-		t.Fatalf("mutual exclusion violated %d times", n)
-	}
+		wg.Add(4)
+		go work(hA)
+		go work(hA2)
+		go work(hA3)
+		go work(hB)
+		wg.Wait()
+		if n := violations.Load(); n > 0 {
+			t.Fatalf("mutual exclusion violated %d times", n)
+		}
+	})
 }
 
 // TestMutexStressCancel is the cancellation-race suite: waiters abandon
@@ -318,122 +331,122 @@ func TestMutexStressSiblingMix(t *testing.T) {
 //
 //	go test -race -run TestMutexStressCancel -scl.stress 30s .
 func TestMutexStressCancel(t *testing.T) {
-	m := NewMutex(Options{Slice: 50 * time.Microsecond})
-
-	const entities = 4
-	const perEntity = 2
-	var handles []*Handle
-	for e := 0; e < entities; e++ {
-		h := m.Register()
-		handles = append(handles, h)
-		for s := 1; s < perEntity; s++ {
-			handles = append(handles, h.Sibling())
-		}
-	}
-	baseline := func() int {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.acct.Len()
-	}()
-
-	var guarded int64 // mutated only inside the critical section, unsynchronized
-	var inCS atomic.Int32
-	var violations atomic.Int64
-	var acquired, cancelled atomic.Int64
-	ops := make([]int64, len(handles))
-
-	deadline := time.Now().Add(stressDuration())
-	var wg sync.WaitGroup
-	for i, h := range handles {
-		wg.Add(1)
-		go func(i int, h *Handle) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(i) + 1))
-			for time.Now().Before(deadline) {
-				// A spread of deadlines around the slice length: some
-				// cancel before the queue moves, some mid-queue, some
-				// race the grant itself, some acquire cleanly.
-				var ctx context.Context
-				var cancel context.CancelFunc
-				switch rng.Intn(4) {
-				case 0:
-					ctx, cancel = context.WithTimeout(context.Background(), time.Duration(rng.Intn(30))*time.Microsecond)
-				case 1:
-					ctx, cancel = context.WithTimeout(context.Background(), time.Duration(50+rng.Intn(100))*time.Microsecond)
-				default:
-					ctx, cancel = context.WithTimeout(context.Background(), time.Second)
-				}
-				err := h.LockContext(ctx)
-				if err != nil {
-					cancel()
-					cancelled.Add(1)
-					continue
-				}
-				if inCS.Add(1) != 1 {
-					violations.Add(1)
-				}
-				guarded++
-				v := guarded
-				runtime.Gosched() // widen the window for exclusion violations
-				if guarded != v {
-					violations.Add(1)
-				}
-				inCS.Add(-1)
-				h.Unlock()
-				cancel()
-				acquired.Add(1)
-				ops[i]++
+	stressSlices(t, 50*time.Microsecond, func(t *testing.T, m *Mutex) {
+		const entities = 4
+		const perEntity = 2
+		var handles []*Handle
+		for e := 0; e < entities; e++ {
+			h := m.Register()
+			handles = append(handles, h)
+			for s := 1; s < perEntity; s++ {
+				handles = append(handles, h.Sibling())
 			}
-		}(i, h)
-	}
-	wg.Wait()
-
-	if n := violations.Load(); n > 0 {
-		t.Fatalf("%d mutual-exclusion violations", n)
-	}
-	var total int64
-	for _, n := range ops {
-		total += n
-	}
-	if guarded != total {
-		t.Fatalf("guarded counter = %d, want %d (lost increments)", guarded, total)
-	}
-	if acquired.Load() == 0 {
-		t.Fatal("no goroutine ever acquired — the lock wedged")
-	}
-	// Liveness after the storm: if any grant had been dropped, the queue
-	// would be wedged behind a transfer that never completes and these
-	// sequential acquisitions would time out.
-	for i, h := range handles {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		if err := h.LockContext(ctx); err != nil {
-			t.Fatalf("handle %d could not acquire after stress (lost grant?): %v", i, err)
 		}
-		h.Unlock()
-		cancel()
-	}
-	t.Logf("acquired %d, cancelled %d", acquired.Load(), cancelled.Load())
+		baseline := func() int {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return m.acct.Len()
+		}()
 
-	// Cancellation must not leak accounting state: closing every handle
-	// returns the accountant to empty, exactly as if no waiter had ever
-	// queued (abandoned attempts registered nothing).
-	if got := func() int {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.acct.Len()
-	}(); got != baseline {
-		t.Fatalf("accountant tracks %d entities during stress, want baseline %d", got, baseline)
-	}
-	for _, h := range handles {
-		h.Close()
-	}
-	if got := func() int {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.acct.Len()
-	}(); got != 0 {
-		t.Fatalf("accountant still tracks %d entities after all handles closed", got)
-	}
+		var guarded int64 // mutated only inside the critical section, unsynchronized
+		var inCS atomic.Int32
+		var violations atomic.Int64
+		var acquired, cancelled atomic.Int64
+		ops := make([]int64, len(handles))
+
+		deadline := time.Now().Add(stressDuration())
+		var wg sync.WaitGroup
+		for i, h := range handles {
+			wg.Add(1)
+			go func(i int, h *Handle) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(i) + 1))
+				for time.Now().Before(deadline) {
+					// A spread of deadlines around the slice length: some
+					// cancel before the queue moves, some mid-queue, some
+					// race the grant itself, some acquire cleanly.
+					var ctx context.Context
+					var cancel context.CancelFunc
+					switch rng.Intn(4) {
+					case 0:
+						ctx, cancel = context.WithTimeout(context.Background(), time.Duration(rng.Intn(30))*time.Microsecond)
+					case 1:
+						ctx, cancel = context.WithTimeout(context.Background(), time.Duration(50+rng.Intn(100))*time.Microsecond)
+					default:
+						ctx, cancel = context.WithTimeout(context.Background(), time.Second)
+					}
+					err := h.LockContext(ctx)
+					if err != nil {
+						cancel()
+						cancelled.Add(1)
+						continue
+					}
+					if inCS.Add(1) != 1 {
+						violations.Add(1)
+					}
+					guarded++
+					v := guarded
+					runtime.Gosched() // widen the window for exclusion violations
+					if guarded != v {
+						violations.Add(1)
+					}
+					inCS.Add(-1)
+					h.Unlock()
+					cancel()
+					acquired.Add(1)
+					ops[i]++
+				}
+			}(i, h)
+		}
+		wg.Wait()
+
+		if n := violations.Load(); n > 0 {
+			t.Fatalf("%d mutual-exclusion violations", n)
+		}
+		var total int64
+		for _, n := range ops {
+			total += n
+		}
+		if guarded != total {
+			t.Fatalf("guarded counter = %d, want %d (lost increments)", guarded, total)
+		}
+		if acquired.Load() == 0 {
+			t.Fatal("no goroutine ever acquired — the lock wedged")
+		}
+		// Liveness after the storm: if any grant had been dropped, the queue
+		// would be wedged behind a transfer that never completes and these
+		// sequential acquisitions would time out.
+		for i, h := range handles {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			if err := h.LockContext(ctx); err != nil {
+				t.Fatalf("handle %d could not acquire after stress (lost grant?): %v", i, err)
+			}
+			h.Unlock()
+			cancel()
+		}
+		t.Logf("acquired %d, cancelled %d", acquired.Load(), cancelled.Load())
+
+		// Cancellation must not leak accounting state: closing every handle
+		// returns the accountant to empty, exactly as if no waiter had ever
+		// queued (abandoned attempts registered nothing).
+		if got := func() int {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return m.acct.Len()
+		}(); got != baseline {
+			t.Fatalf("accountant tracks %d entities during stress, want baseline %d", got, baseline)
+		}
+		for _, h := range handles {
+			h.Close()
+		}
+		if got := func() int {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return m.acct.Len()
+		}(); got != 0 {
+			t.Fatalf("accountant still tracks %d entities after all handles closed", got)
+		}
+	})
 }
 
 // TestRWLockStressCancel drives an RWLock with readers and writers whose
@@ -521,95 +534,95 @@ func TestRWLockStressCancel(t *testing.T) {
 //
 //	go test -race -run TestMutexStressCombine -scl.stress 30s .
 func TestMutexStressCombine(t *testing.T) {
-	m := NewMutex(Options{Slice: 100 * time.Microsecond})
+	stressSlices(t, 100*time.Microsecond, func(t *testing.T, m *Mutex) {
+		const entities = 6
+		var handles []*Handle
+		for e := 0; e < entities; e++ {
+			handles = append(handles, m.Register())
+		}
 
-	const entities = 6
-	var handles []*Handle
-	for e := 0; e < entities; e++ {
-		handles = append(handles, m.Register())
-	}
+		var guarded int64 // mutated only inside critical sections, unsynchronized
+		var inCS atomic.Int32
+		var violations atomic.Int64
+		ops := make([]int64, len(handles))
 
-	var guarded int64 // mutated only inside critical sections, unsynchronized
-	var inCS atomic.Int32
-	var violations atomic.Int64
-	ops := make([]int64, len(handles))
-
-	deadline := time.Now().Add(stressDuration())
-	var wg sync.WaitGroup
-	for i, h := range handles {
-		wg.Add(1)
-		go func(i int, h *Handle) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(i) + 300))
-			section := func() {
-				if inCS.Add(1) != 1 {
-					violations.Add(1)
-				}
-				guarded++
-				v := guarded
-				runtime.Gosched() // widen the window for exclusion violations
-				if guarded != v {
-					violations.Add(1)
-				}
-				inCS.Add(-1)
-			}
-			for time.Now().Before(deadline) {
-				switch rng.Intn(4) {
-				case 0: // classic path, same section
-					h.Lock()
-					section()
-					h.Unlock()
-				case 1: // cancellable classic acquire racing the combiners
-					ctx, cancel := context.WithTimeout(context.Background(), time.Duration(30+rng.Intn(200))*time.Microsecond)
-					if err := h.LockContext(ctx); err != nil {
-						cancel()
-						continue
+		deadline := time.Now().Add(stressDuration())
+		var wg sync.WaitGroup
+		for i, h := range handles {
+			wg.Add(1)
+			go func(i int, h *Handle) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(i) + 300))
+				section := func() {
+					if inCS.Add(1) != 1 {
+						violations.Add(1)
 					}
-					section()
-					h.Unlock()
-					cancel()
-				default:
-					h.Do(section)
+					guarded++
+					v := guarded
+					runtime.Gosched() // widen the window for exclusion violations
+					if guarded != v {
+						violations.Add(1)
+					}
+					inCS.Add(-1)
 				}
-				ops[i]++
-			}
-		}(i, h)
-	}
-	wg.Wait()
+				for time.Now().Before(deadline) {
+					switch rng.Intn(4) {
+					case 0: // classic path, same section
+						h.Lock()
+						section()
+						h.Unlock()
+					case 1: // cancellable classic acquire racing the combiners
+						ctx, cancel := context.WithTimeout(context.Background(), time.Duration(30+rng.Intn(200))*time.Microsecond)
+						if err := h.LockContext(ctx); err != nil {
+							cancel()
+							continue
+						}
+						section()
+						h.Unlock()
+						cancel()
+					default:
+						h.Do(section)
+					}
+					ops[i]++
+				}
+			}(i, h)
+		}
+		wg.Wait()
 
-	if n := violations.Load(); n > 0 {
-		t.Fatalf("%d mutual-exclusion violations", n)
-	}
-	var total int64
-	for i, n := range ops {
-		if n == 0 {
-			t.Errorf("goroutine %d made no progress (lost wakeup?)", i)
+		if n := violations.Load(); n > 0 {
+			t.Fatalf("%d mutual-exclusion violations", n)
 		}
-		total += n
-	}
-	if guarded != total {
-		t.Fatalf("guarded counter = %d, want %d (lost or double-run sections)", guarded, total)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after combine stress: %v", err)
-	}
-	// Liveness after the storm: a stranded publisher or a claimed request
-	// that never resolved would wedge these sequential combined sections.
-	for i, h := range handles {
-		done := make(chan struct{})
-		go func(h *Handle) { h.Do(func() {}); close(done) }(h)
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("handle %d: Do wedged after stress (stranded publisher?)", i)
+		var total int64
+		for i, n := range ops {
+			if n == 0 {
+				t.Errorf("goroutine %d made no progress (lost wakeup?)", i)
+			}
+			total += n
 		}
-	}
-	for _, h := range handles {
-		h.Close()
-	}
-	if n := m.Entities(); n != 0 {
-		t.Fatalf("%d entities still registered after all handles closed", n)
-	}
+		if guarded != total {
+			t.Fatalf("guarded counter = %d, want %d (lost or double-run sections)", guarded, total)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("invariants after combine stress: %v", err)
+		}
+		// Liveness after the storm: a stranded publisher or a claimed request
+		// that never resolved would wedge these sequential combined sections.
+		for i, h := range handles {
+			done := make(chan struct{})
+			go func(h *Handle) { h.Do(func() {}); close(done) }(h)
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("handle %d: Do wedged after stress (stranded publisher?)", i)
+			}
+		}
+		for _, h := range handles {
+			h.Close()
+		}
+		if n := m.Entities(); n != 0 {
+			t.Fatalf("%d entities still registered after all handles closed", n)
+		}
+	})
 }
 
 // TestRWLockStressCombine is the RW analogue: writers route their
