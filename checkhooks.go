@@ -27,6 +27,10 @@ import (
 // one. Mixing (arming a real timer, then resetting it with virtual
 // delays) is not supported and is prevented by construction in the
 // checker's workloads, which build a fresh lock per explored schedule.
+// A lock on the real side may still outlive its use with its real timer
+// armed, and a later checker run may be installed when it comes due; the
+// timer fires through check.Outside, so such a firing waits until no
+// checker run is installed.
 //
 // Beyond the helpers below, the locks mark their lock-free races as
 // named check.Point decision sites the explorer reorders. The RW-SCL's
@@ -102,9 +106,9 @@ type lockTimer interface {
 // re-arming per operation would spawn a goroutine per firing
 // (time.AfterFunc), which dominates runtime under load. It is created
 // on first arm — a virtual-clock timer under an installed check
-// scheduler, time.AfterFunc otherwise — and calls fire, which the lock's
-// constructor sets once; a k-SCL Mutex never arms it, so never creates
-// one. The lock's mutex guards it.
+// scheduler, time.AfterFunc through fireOutside otherwise — and calls
+// fire, which the lock's constructor sets once; a k-SCL Mutex never arms
+// it, so never creates one. The lock's mutex guards it.
 type boundaryTimer struct {
 	t    lockTimer
 	at   time.Duration // absolute arm target; -1 once fired
@@ -128,7 +132,43 @@ func (b *boundaryTimer) arm(end, now time.Duration) {
 	} else if t, ok := check.AfterFunc(delay, b.fire); ok {
 		b.t = t
 	} else {
-		b.t = time.AfterFunc(delay, b.fire)
+		b.t = time.AfterFunc(delay, b.fireOutside)
+	}
+}
+
+// fireOutside is a real timer's callback: it runs fire only while no
+// checker scheduler is installed, and otherwise tries again a
+// millisecond later. Its goroutine is not the checker's, so a firing
+// inside a checker run would step that run's schedule from outside.
+func (b *boundaryTimer) fireOutside() {
+	if !check.Outside(b.fire) {
+		time.AfterFunc(time.Millisecond, b.fireOutside)
+	}
+}
+
+// sleepBan sleeps out a ban penalty of d, outside any lock mutex, and
+// reports whether done fired first; a nil done never fires. A cancellable
+// acquire must be able to walk away mid-penalty: the ban only makes an
+// uncancellable wait longer. Under the checker a wake at the deadline
+// reports no cancellation, and the caller's next blocking point observes
+// it.
+func sleepBan(d time.Duration, done <-chan struct{}) (cancelled bool) {
+	if done == nil {
+		if !check.Sleep(d) {
+			time.Sleep(d)
+		}
+		return false
+	}
+	if cancelled, handled := check.SleepOrDone(d, done); handled {
+		return cancelled
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return false
+	case <-done:
+		return true
 	}
 }
 

@@ -28,6 +28,12 @@
 //     handled=false; Now still reports the virtual clock so the lock's
 //     monotime stays consistent across a whole test.
 //
+// An unmanaged goroutine that runs lock code while a scheduler may be
+// installed — the callback of a real time.AfterFunc timer, armed by a
+// lock on the real side of the seam — must run it through Outside: the
+// hooks cannot tell such a goroutine from the token holder, so inside a
+// checker run it would step the schedule from outside.
+//
 // The done channels passed to the *OrDone hooks must be close-only
 // channels (context.Done-style); the hooks poll them with a
 // non-blocking receive and would consume a value from a sent-to
@@ -46,11 +52,16 @@ import (
 // Tracer hook).
 var active atomic.Pointer[Sched]
 
+// installMu orders Install after every Outside call in flight.
+var installMu sync.RWMutex
+
 // Install makes s the process-global scheduler consulted by every hook.
 // It panics if another scheduler is already installed: exploration runs
 // are process-wide and must not overlap (tests using Install must not
-// run in parallel).
+// run in parallel). It waits for a running Outside call to return.
 func Install(s *Sched) {
+	installMu.Lock()
+	defer installMu.Unlock()
 	if !active.CompareAndSwap(nil, s) {
 		panic("check: a scheduler is already installed")
 	}
@@ -62,6 +73,19 @@ func Uninstall(s *Sched) {
 	if !active.CompareAndSwap(s, nil) {
 		panic("check: Uninstall of a scheduler that is not installed")
 	}
+}
+
+// Outside runs fn and reports true if no scheduler is installed, and
+// reports false without running fn otherwise. No scheduler is installed
+// until fn returns.
+func Outside(fn func()) bool {
+	installMu.RLock()
+	defer installMu.RUnlock()
+	if active.Load() != nil {
+		return false
+	}
+	fn()
+	return true
 }
 
 // Enabled reports whether a scheduler is installed. It exists for

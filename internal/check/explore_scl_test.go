@@ -369,6 +369,39 @@ func TestExploreKSCL(t *testing.T) {
 	}
 }
 
+// TestExploreCompose explores the composition workloads on a u-SCL and
+// a k-SCL Mutex: one seeded mix of Lock, TryLock, cancellable acquires,
+// Do, Close and close-while-held (ghost releases), a sibling handle, the
+// inactive GC and tracer swaps around every think. PCT hunts depth-3
+// races, and a bounded DFS enumerates the first branching decisions.
+func TestExploreCompose(t *testing.T) {
+	if *seedFlag != 0 {
+		t.Skip("replay handled by TestExploreMutexChurn")
+	}
+	n := 10000
+	if testing.Short() {
+		n = 1000
+	}
+	if *schedulesFlag > 0 {
+		n = *schedulesFlag
+	}
+	for _, name := range []string{"mutex-compose", "kscl-compose"} {
+		w, _ := workloads.Named(name)
+		t.Run(name, func(t *testing.T) {
+			sum := check.Explore(check.Opts{Schedules: n, Seed: 17, Mode: "pct", Depth: 3}, w)
+			if sum.Failure != nil {
+				t.Fatalf("exploration failed (replay with -check.workload=%s):\n%v", name, sum.Failure)
+			}
+			t.Logf("pct: %d runs, %d distinct schedules", sum.Runs, sum.Distinct)
+			sum = check.ExploreDFS(check.DFSOpts{Depth: 10, MaxRuns: n / 5}, w)
+			if sum.Failure != nil {
+				t.Fatalf("DFS exploration failed:\n%v", sum.Failure)
+			}
+			t.Logf("dfs: %d runs, %d distinct schedules", sum.Runs, sum.Distinct)
+		})
+	}
+}
+
 // TestExploreScenarioCorpus runs PCT schedule exploration over every
 // scenario in the starter corpus: each compiled scenario becomes an
 // explorable workload (scenario.Workload) asserting mutual exclusion,

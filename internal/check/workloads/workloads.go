@@ -1,21 +1,27 @@
-// Package workloads defines the explorable scenarios the deterministic
-// checker (internal/check) runs against the real scl locks. Each
-// workload builds a fresh lock per explored schedule, drives it from
-// managed goroutines, and asserts the paper's guarantees on every
-// schedule: mutual exclusion, no lost grants (via the scheduler's
-// deadlock detector), accounting conservation (CheckInvariants after
-// every operation), and the opportunity-imbalance bound. The package is
-// shared by `go test ./internal/check` and the cmd/sclcheck CLI.
+// Package workloads defines the named explorable workloads the
+// deterministic checker (internal/check) runs against the real scl
+// locks. Each workload is a seeded generator of entity scripts plus a
+// lock configuration, a scenario.Spec, and runs on internal/scenario's
+// driver: the one op loop the scenario corpus also runs through. On
+// every explored schedule the driver asserts mutual exclusion (per key
+// on a Manager), exactly one run of every granted critical section, the
+// lock's invariants after every op, and a clean teardown: no entity or
+// tenant identity left, and on an RWLock op conservation and a final
+// write acquire that must be granted. A lost grant is the scheduler's
+// deadlock detector. Contend and combine workloads also set the
+// opportunity-imbalance wait bound. The package is shared by `go test
+// ./internal/check` and the cmd/sclcheck CLI.
 package workloads
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"time"
 
 	"scl"
 	"scl/internal/check"
+	"scl/internal/scenario"
+	"scl/sim"
 )
 
 // named lists every workload the checker's tools address by name
@@ -31,12 +37,14 @@ var named = []struct {
 	{"mutex-contend", func() check.Workload { return MutexContend(ContendOpts{Seed: 1}) }},
 	{"mutex-combine", func() check.Workload { return MutexCombine(CombineOpts{Seed: 1}) }},
 	{"mutex-siblings", func() check.Workload { return MutexContend(siblingOpts(2 * time.Millisecond)) }},
+	{"mutex-compose", func() check.Workload { return MutexChurn(composeOpts(2 * time.Millisecond)) }},
 	{"kscl-churn", func() check.Workload {
 		return MutexChurn(MutexOpts{Slice: -1, Seed: 1, Cancel: true, CloseMid: true, CloseHeld: true, GC: true})
 	}},
 	{"kscl-contend", func() check.Workload { return MutexContend(ContendOpts{Slice: -1, Seed: 1}) }},
 	{"kscl-siblings", func() check.Workload { return MutexContend(siblingOpts(-1)) }},
 	{"kscl-combine", func() check.Workload { return MutexCombine(CombineOpts{Slice: -1, Seed: 1}) }},
+	{"kscl-compose", func() check.Workload { return MutexChurn(composeOpts(-1)) }},
 	{"rw-churn", func() check.Workload { return RWChurn(RWOpts{Seed: 1, Cancel: true}) }},
 	{"rw-shard", func() check.Workload { return RWShardSweep(RWShardOpts{Seed: 1}) }},
 	{"rw-writers", func() check.Workload { return RWWriters(RWWritersOpts{}) }},
@@ -79,25 +87,36 @@ func siblingOpts(slice time.Duration) ContendOpts {
 	return ContendOpts{Entities: 2, Siblings: 1, Slice: slice, Hold: 500 * time.Microsecond, Think: 500 * time.Microsecond}
 }
 
-// opKind enumerates the scripted operations of the churn workloads.
-type opKind int
-
-const (
-	opLock opKind = iota
-	opTry
-	opCancel // cancellable acquire whose context fires mid-flight
-	opThink  // off-lock virtual time
-	opClose  // close the handle mid-run and reopen a fresh one
-	// opCloseHeld closes the handle while its hold is in flight, releases
-	// through the closed handle (the deferred ghost drop) and reopens.
-	opCloseHeld
-)
-
-type op struct {
-	kind opKind
-	hold time.Duration // critical-section length (lock ops)
-	wait time.Duration // think time, or cancel delay
+// composeOpts configures the *-compose workloads: every Handle operation
+// in one seeded mix. Lock, TryLock, cancellable acquires and Do race
+// Close and close-while-held (ghost releases), a sibling handle shares
+// the first entity, the inactive GC reaps, and the tracer is removed and
+// reinstalled around every think. Seed 10 is the first whose scripts
+// hold every op kind and a close-while-held on an entity without
+// siblings, so every schedule runs a ghost release
+// (TestComposeCoversEveryOp).
+func composeOpts(slice time.Duration) MutexOpts {
+	return MutexOpts{Slice: slice, Ops: 5, Seed: 10, Cancel: true, CloseMid: true, CloseHeld: true, GC: true, Compose: true}
 }
+
+// entity is the script entity <prefix><i> running ops.
+func entity(prefix string, i int, ops []sim.ScriptOp) sim.ScriptEntity {
+	return sim.ScriptEntity{Name: fmt.Sprintf("%s%d", prefix, i), Ops: ops}
+}
+
+// siblingOf maps entity i to itself below n, and to entity 0 from n on:
+// the entities past n lock through sibling handles of the first.
+func siblingOf(i, n int) int {
+	if i < n {
+		return i
+	}
+	return 0
+}
+
+func hold(kind sim.ScriptOpKind, d time.Duration) sim.ScriptOp {
+	return sim.ScriptOp{Kind: kind, Hold: d}
+}
+func think(d time.Duration) sim.ScriptOp { return sim.ScriptOp{Kind: sim.OpThink, Think: d} }
 
 // MutexOpts configures the Mutex churn workload.
 type MutexOpts struct {
@@ -119,6 +138,11 @@ type MutexOpts struct {
 	// GC enables the inactive-entity GC with a tight threshold, pulling
 	// the reap paths into the explored schedules.
 	GC bool
+	// Compose turns half of the plain acquires into Handle.Do calls, adds
+	// an entity locking through a sibling handle of the first (until it
+	// first closes), and removes and reinstalls the lock's tracer around
+	// every think.
+	Compose bool
 }
 
 func (o *MutexOpts) defaults() {
@@ -133,136 +157,62 @@ func (o *MutexOpts) defaults() {
 	}
 }
 
-// script derives entity e's deterministic operation list.
-func (o MutexOpts) script(e int) []op {
+// siblings is the number of entities locking through a sibling handle.
+func (o MutexOpts) siblings() int {
+	if o.Compose {
+		return 1
+	}
+	return 0
+}
+
+// script derives entity e's deterministic op script. key, if non-nil,
+// draws the lock-table key of each scripted operation.
+func (o MutexOpts) script(e int, key func() int) []sim.ScriptOp {
 	rng := rand.New(rand.NewSource(o.Seed*1000003 + int64(e)))
-	ops := make([]op, 0, o.Ops)
+	var ops []sim.ScriptOp
 	for i := 0; i < o.Ops; i++ {
-		hold := time.Duration(50+rng.Intn(1500)) * time.Microsecond
+		held := time.Duration(50+rng.Intn(1500)) * time.Microsecond
 		wait := time.Duration(rng.Intn(2000)) * time.Microsecond
-		k := opLock
+		op := []sim.ScriptOp{think(wait)}
 		switch r := rng.Intn(10); {
 		case r < 5:
-			k = opLock
-		case r < 6:
-			k = opTry
-		case r < 8 && o.Cancel:
-			k = opCancel
-		case r < 9 && o.CloseMid:
-			k = opClose
-			if o.CloseHeld && rng.Intn(2) == 0 {
-				k = opCloseHeld
+			op[0] = hold(sim.OpAcquire, held)
+			if o.Compose && rng.Intn(2) == 0 {
+				op[0].Kind = sim.OpDo
 			}
-		default:
-			k = opThink
+		case r < 6:
+			op[0] = hold(sim.OpTry, held)
+		case r < 8 && o.Cancel:
+			op[0] = sim.ScriptOp{Kind: sim.OpAcquireTimeout, Hold: held, Timeout: wait}
+		case r < 9 && o.CloseMid:
+			op = []sim.ScriptOp{{Kind: sim.OpClose}, think(wait)}
+			if o.CloseHeld && rng.Intn(2) == 0 {
+				op = []sim.ScriptOp{hold(sim.OpCloseHeld, held)}
+			}
 		}
-		ops = append(ops, op{kind: k, hold: hold, wait: wait})
+		if key != nil {
+			op[0].Key = key()
+		}
+		ops = append(ops, op...)
 	}
 	return ops
 }
 
-// MutexChurn is the 3-entity lock/cancel/close workload from the issue:
-// entities run deterministic per-seed scripts of plain, try-, and
-// cancellable acquires plus mid-run handle churn, asserting mutual
-// exclusion and lock invariants after every operation, and full
-// teardown (no registered entities, clean books) at the end.
+// MutexChurn is the 3-entity lock/cancel/close workload: entities run
+// deterministic per-seed scripts of plain, try- and cancellable acquires
+// plus mid-run handle churn; CloseHeld adds ghost releases, GC reaps,
+// and Compose Do calls, a sibling handle and tracer swaps.
 func MutexChurn(o MutexOpts) check.Workload {
 	o.defaults()
-	var m *scl.Mutex
-	return check.Workload{
-		Name: "mutex-churn",
-		Setup: func(s *check.Sched) {
-			opts := scl.Options{Slice: o.Slice}
-			if o.GC {
-				opts.InactiveTimeout = 10 * time.Millisecond
-			}
-			m = scl.NewMutex(opts)
-			held := new(int)
-			for e := 0; e < o.Entities; e++ {
-				e := e
-				script := o.script(e)
-				h := m.Register()
-				s.Go(fmt.Sprintf("e%d", e), func() {
-					runMutexScript(s, m, h, script, held)
-				})
-			}
-		},
-		Validate: func() error {
-			if err := m.CheckInvariants(); err != nil {
-				return err
-			}
-			if n := m.Entities(); n != 0 {
-				return fmt.Errorf("%d entities still registered after all handles closed", n)
-			}
-			return nil
-		},
+	s := scenario.Spec{Mutex: &scenario.MutexSpec{Options: scl.Options{Slice: o.Slice}, SwapTracer: o.Compose}}
+	if o.GC {
+		s.Mutex.Options.InactiveTimeout = 10 * time.Millisecond
 	}
-}
-
-// runMutexScript executes one entity's scripted ops, asserting mutual
-// exclusion via the shared holder counter and the lock's invariants
-// after every operation.
-func runMutexScript(s *check.Sched, m *scl.Mutex, h *scl.Handle, script []op, held *int) {
-	enter := func() {
-		*held++
-		if *held != 1 {
-			s.Failf("mutual exclusion violated: %d holders", *held)
-		}
+	for e := 0; e < o.Entities+o.siblings(); e++ {
+		s.Entities = append(s.Entities, entity("e", e, o.script(e, nil)))
+		s.Mutex.SiblingOf = append(s.Mutex.SiblingOf, siblingOf(e, o.Entities))
 	}
-	exit := func() {
-		*held--
-	}
-	for i, o := range script {
-		switch o.kind {
-		case opLock:
-			h.Lock()
-			enter()
-			check.Sleep(o.hold)
-			exit()
-			h.Unlock()
-		case opTry:
-			if h.TryLock() {
-				enter()
-				check.Sleep(o.hold)
-				exit()
-				h.Unlock()
-			}
-		case opCancel:
-			ctx, cancel := context.WithCancel(context.Background())
-			s.Go("canceller", func() {
-				check.Sleep(o.wait)
-				cancel()
-			})
-			if err := h.LockContext(ctx); err == nil {
-				enter()
-				check.Sleep(o.hold)
-				exit()
-				h.Unlock()
-			}
-			cancel()
-		case opClose:
-			h.Close()
-			check.Sleep(o.wait)
-			h = m.Register()
-		case opCloseHeld:
-			h.Lock()
-			enter()
-			h.Close()
-			check.Sleep(o.hold)
-			exit()
-			h.Unlock()
-			h = m.Register()
-		case opThink:
-			check.Sleep(o.wait)
-		}
-		if err := m.CheckInvariants(); err != nil {
-			s.Failf("invariants broken after op %d: %v", i, err)
-		}
-	}
-	h.Close()
-	if err := m.CheckInvariants(); err != nil {
-		s.Failf("invariants broken after close: %v", err)
-	}
+	return scenario.Explorable("mutex-churn", s)
 }
 
 // ContendOpts configures the opportunity-imbalance workload.
@@ -290,8 +240,7 @@ type ContendOpts struct {
 // below is deliberately generous (it must hold on EVERY schedule,
 // including adversarial ones); it still catches unbounded starvation
 // and lost wakeups, which show up as waits growing with the op count
-// or as deadlocks. Lock invariants are checked after every operation
-// and full teardown once every handle has closed.
+// or as deadlocks.
 //
 // With Siblings, the first entity locks through several handles: the
 // slice owner's fast release then races intra-class handoffs to a queued
@@ -315,57 +264,22 @@ func MutexContend(o ContendOpts) check.Workload {
 	if o.Siblings > 0 {
 		name = "mutex-siblings"
 	}
-	bound := time.Duration(6*(o.Entities+o.Siblings)) * (o.Slice + o.Hold)
-	var m *scl.Mutex
-	return check.Workload{
-		Name: name,
-		Setup: func(s *check.Sched) {
-			m = scl.NewMutex(scl.Options{Slice: o.Slice})
-			held := new(int)
-			var hs []*scl.Handle
-			for e := 0; e < o.Entities; e++ {
-				hs = append(hs, m.Register())
-			}
-			for i := 0; i < o.Siblings; i++ {
-				hs = append(hs, hs[0].Sibling())
-			}
-			for i, h := range hs {
-				s.Go(fmt.Sprintf("h%d", i), func() {
-					for op := 0; op < o.Ops; op++ {
-						t0, _ := check.Now()
-						h.Lock()
-						t1, _ := check.Now()
-						if wait := t1 - t0; wait > bound {
-							s.Failf("opportunity-imbalance bound exceeded: op %d waited %v (bound %v)", op, wait, bound)
-						}
-						*held++
-						if *held != 1 {
-							s.Failf("mutual exclusion violated: %d holders", *held)
-						}
-						check.Sleep(o.Hold)
-						*held--
-						h.Unlock()
-						if err := m.CheckInvariants(); err != nil {
-							s.Failf("invariants broken after op %d: %v", op, err)
-						}
-						if op%2 == 1 && o.Think > 0 {
-							check.Sleep(o.Think)
-						}
-					}
-					h.Close()
-				})
-			}
-		},
-		Validate: func() error {
-			if err := m.CheckInvariants(); err != nil {
-				return err
-			}
-			if n := m.Entities(); n != 0 {
-				return fmt.Errorf("%d entities still registered after all handles closed", n)
-			}
-			return nil
-		},
+	var ops []sim.ScriptOp
+	for op := 0; op < o.Ops; op++ {
+		ops = append(ops, hold(sim.OpAcquire, o.Hold))
+		if op%2 == 1 && o.Think > 0 {
+			ops = append(ops, think(o.Think))
+		}
 	}
+	s := scenario.Spec{
+		Mutex:     &scenario.MutexSpec{Options: scl.Options{Slice: o.Slice}},
+		WaitBound: time.Duration(6*(o.Entities+o.Siblings)) * (o.Slice + o.Hold),
+	}
+	for i := 0; i < o.Entities+o.Siblings; i++ {
+		s.Entities = append(s.Entities, entity("h", i, ops))
+		s.Mutex.SiblingOf = append(s.Mutex.SiblingOf, siblingOf(i, o.Entities))
+	}
+	return scenario.Explorable(name, s)
 }
 
 // CombineOpts configures the Handle.Do combining workload.
@@ -385,19 +299,13 @@ type CombineOpts struct {
 // entities run a deterministic mix of Do calls and plain acquires, so
 // published critical sections race classic queueing, release-time
 // drains, ban rejections and the idle wake-walk across every explored
-// interleaving of the mu.combine.* decision sites. On every schedule it
-// asserts:
-//
-//   - mutual exclusion: combined closures and plain critical sections
-//     share one holder counter, so a drain overlapping any hold fails;
-//   - exactly-once: each closure bumps its own (entity, op) cell,
-//     caught double-executed (combiner AND self-serve) or dropped at
-//     Validate;
-//   - conservation: full lock + accountant invariants after every op
-//     (combined usage must land on the publishing entity's books);
-//   - the opportunity-imbalance bound on every Do's total latency, so
-//     a lost wakeup that the deadlock detector cannot see (a publisher
-//     parked while others make progress) still fails the schedule.
+// interleaving of the mu.combine.* decision sites. Combined closures and
+// plain sections share one exclusion check, each closure must run
+// exactly once, combined usage must land on the publishing entity's
+// books (the invariants after every op), and every Do's total latency
+// is held to the opportunity-imbalance bound, so a lost wakeup the
+// deadlock detector cannot see (a publisher parked while others make
+// progress) still fails the schedule.
 func MutexCombine(o CombineOpts) check.Workload {
 	if o.Entities <= 0 {
 		o.Entities = 3
@@ -411,74 +319,41 @@ func MutexCombine(o CombineOpts) check.Workload {
 	// Holds reach past the slice so drains interleave with bans; the
 	// latency bound mirrors MutexContend's, widened by the max hold.
 	maxHold := 3 * time.Millisecond
-	bound := time.Duration(6*o.Entities)*(o.Slice+maxHold) + maxHold
-	var m *scl.Mutex
-	executed := make([][]int, o.Entities)
-	return check.Workload{
-		Name: "mutex-combine",
-		Setup: func(s *check.Sched) {
-			m = scl.NewMutex(scl.Options{Slice: o.Slice})
-			held := new(int)
-			for e := 0; e < o.Entities; e++ {
-				e := e
-				executed[e] = make([]int, o.Ops)
-				rng := rand.New(rand.NewSource(o.Seed*1000033 + int64(e)))
-				h := m.Register()
-				s.Go(fmt.Sprintf("e%d", e), func() {
-					for i := 0; i < o.Ops; i++ {
-						i := i
-						hold := time.Duration(50+rng.Intn(int(maxHold/time.Microsecond)-50)) * time.Microsecond
-						think := time.Duration(rng.Intn(1500)) * time.Microsecond
-						section := func() {
-							*held++
-							if *held != 1 {
-								s.Failf("mutual exclusion violated: %d holders", *held)
-							}
-							check.Sleep(hold)
-							*held--
-							executed[e][i]++
-						}
-						t0, _ := check.Now()
-						if rng.Intn(3) == 0 {
-							h.Lock()
-							section()
-							h.Unlock()
-						} else {
-							h.Do(section)
-						}
-						t1, _ := check.Now()
-						if wait := t1 - t0; wait > bound {
-							s.Failf("combine latency bound exceeded: op %d took %v (bound %v)", i, wait, bound)
-						}
-						if err := m.CheckInvariants(); err != nil {
-							s.Failf("invariants broken after op %d: %v", i, err)
-						}
-						check.Sleep(think)
-					}
-					h.Close()
-					if err := m.CheckInvariants(); err != nil {
-						s.Failf("invariants broken after close: %v", err)
-					}
-				})
-			}
-		},
-		Validate: func() error {
-			if err := m.CheckInvariants(); err != nil {
-				return err
-			}
-			for e, ops := range executed {
-				for i, n := range ops {
-					if n != 1 {
-						return fmt.Errorf("entity %d op %d executed %d times (want exactly once)", e, i, n)
-					}
-				}
-			}
-			if n := m.Entities(); n != 0 {
-				return fmt.Errorf("%d entities still registered after all handles closed", n)
-			}
-			return nil
-		},
+	s := scenario.Spec{
+		Mutex:     &scenario.MutexSpec{Options: scl.Options{Slice: o.Slice}},
+		WaitBound: time.Duration(6*o.Entities)*(o.Slice+maxHold) + maxHold,
 	}
+	for e := 0; e < o.Entities; e++ {
+		rng := rand.New(rand.NewSource(o.Seed*1000033 + int64(e)))
+		var ops []sim.ScriptOp
+		for i := 0; i < o.Ops; i++ {
+			held := time.Duration(50+rng.Intn(int(maxHold/time.Microsecond)-50)) * time.Microsecond
+			pause := time.Duration(rng.Intn(1500)) * time.Microsecond
+			kind := sim.OpDo
+			if rng.Intn(3) == 0 {
+				kind = sim.OpAcquire
+			}
+			ops = append(ops, hold(kind, held), think(pause))
+		}
+		s.Entities = append(s.Entities, entity("e", e, ops))
+	}
+	return scenario.Explorable("mutex-combine", s)
+}
+
+// rwSpec is an RWLock (period 0: 2ms) with readers r0.. and writers
+// w0.., entity e running script(e).
+func rwSpec(readers, writers int, period time.Duration, script func(e int) []sim.ScriptOp) scenario.Spec {
+	s := scenario.Spec{RW: &scenario.RWSpec{Period: period}}
+	for e := 0; e < readers+writers; e++ {
+		write := e >= readers
+		if write {
+			s.Entities = append(s.Entities, entity("w", e-readers, script(e)))
+		} else {
+			s.Entities = append(s.Entities, entity("r", e, script(e)))
+		}
+		s.RW.Writer = append(s.RW.Writer, write)
+	}
+	return s
 }
 
 // RWShardOpts configures the distributed-read-indicator sweep workload.
@@ -493,19 +368,11 @@ type RWShardOpts struct {
 // RWShardSweep targets the RW-SCL's sharded read indicator: readers
 // hammer the fast RLock/RUnlock paths (each publish/revalidate and shard
 // pick is a decision point the explorer reorders) while writers force
-// phase flips whose write-phase drain sweeps the shards. The workload
-// asserts, on every schedule, that no reader is lost or double-counted
-// across a sweep:
-//
-//   - reader/writer exclusion via shared counters, as in RWChurn;
-//   - conservation: Stats().ReaderOps (slow ops + fast shard ops) must
-//     equal the readers' own acquisition tally, so a waiter granted
-//     twice or a fast +1 dropped by the sweep is caught exactly;
-//   - drain: after every scripted op completes, a final write acquire
-//     must be granted. The drain sweep admits a writer only when the
-//     shard sum is exactly zero, so a leaked +1 (double-counted reader)
-//     parks this probe forever and surfaces as a checker deadlock, and
-//     a lost reader (sum < 0) fails CheckInvariants.
+// phase flips whose write-phase drain sweeps the shards. The driver's
+// RW teardown shows that no reader is lost or double-counted across a
+// sweep: Stats().ReaderOps (slow ops plus fast shard ops) must equal the
+// reader grants, and the final write acquire parks forever on a leaked
+// +1, while a lost reader (sum < 0) fails CheckInvariants.
 func RWShardSweep(o RWShardOpts) check.Workload {
 	if o.Readers <= 0 {
 		o.Readers = 3
@@ -516,93 +383,15 @@ func RWShardSweep(o RWShardOpts) check.Workload {
 	if o.Ops <= 0 {
 		o.Ops = 3
 	}
-	if o.Period == 0 {
-		o.Period = 2 * time.Millisecond
-	}
-	var l *scl.RWLock
-	acquiredR := new(int)
-	acquiredW := new(int)
-	return check.Workload{
-		Name: "rw-shard",
-		Setup: func(s *check.Sched) {
-			l = scl.NewRWLock(1, 1, o.Period)
-			*acquiredR, *acquiredW = 0, 0
-			readers := new(int)
-			writers := new(int)
-			finished := new(int)
-			total := o.Readers + o.Writers
-			checkState := func() {
-				if *writers > 1 {
-					s.Failf("%d writers active", *writers)
-				}
-				if *writers == 1 && *readers > 0 {
-					s.Failf("writer active with %d readers", *readers)
-				}
-			}
-			spawn := func(name string, e int, write bool) {
-				rng := rand.New(rand.NewSource(o.Seed*1000003 + int64(e)))
-				s.Go(name, func() {
-					for i := 0; i < o.Ops; i++ {
-						hold := time.Duration(20+rng.Intn(400)) * time.Microsecond
-						think := time.Duration(rng.Intn(800)) * time.Microsecond
-						if write {
-							l.WLock()
-							*writers++
-							*acquiredW++
-						} else {
-							l.RLock()
-							*readers++
-							*acquiredR++
-						}
-						checkState()
-						check.Sleep(hold)
-						if write {
-							*writers--
-							l.WUnlock()
-						} else {
-							*readers--
-							l.RUnlock()
-						}
-						if err := l.CheckInvariants(); err != nil {
-							s.Failf("invariants broken after op %d: %v", i, err)
-						}
-						check.Sleep(think)
-					}
-					*finished++
-				})
-			}
-			for r := 0; r < o.Readers; r++ {
-				spawn(fmt.Sprintf("r%d", r), r, false)
-			}
-			for w := 0; w < o.Writers; w++ {
-				spawn(fmt.Sprintf("w%d", w), o.Readers+w, true)
-			}
-			s.Go("drain", func() {
-				check.WaitOrDone("join", func() bool { return *finished == total }, nil)
-				l.WLock()
-				*writers++
-				*acquiredW++
-				checkState()
-				*writers--
-				l.WUnlock()
-			})
-		},
-		Validate: func() error {
-			if err := l.CheckInvariants(); err != nil {
-				return err
-			}
-			s := l.Stats()
-			if s.ReaderOps != int64(*acquiredR) {
-				return fmt.Errorf("reader op conservation broken: lock counted %d, readers acquired %d",
-					s.ReaderOps, *acquiredR)
-			}
-			if s.WriterOps != int64(*acquiredW) {
-				return fmt.Errorf("writer op conservation broken: lock counted %d, writers acquired %d",
-					s.WriterOps, *acquiredW)
-			}
-			return nil
-		},
-	}
+	return scenario.Explorable("rw-shard", rwSpec(o.Readers, o.Writers, o.Period, func(e int) []sim.ScriptOp {
+		rng := rand.New(rand.NewSource(o.Seed*1000003 + int64(e)))
+		var ops []sim.ScriptOp
+		for i := 0; i < o.Ops; i++ {
+			held := time.Duration(20+rng.Intn(400)) * time.Microsecond
+			ops = append(ops, hold(sim.OpAcquire, held), think(time.Duration(rng.Intn(800))*time.Microsecond))
+		}
+		return ops
+	}))
 }
 
 // RWOpts configures the RWLock churn workload.
@@ -616,9 +405,7 @@ type RWOpts struct {
 }
 
 // RWChurn drives the RW-SCL: readers and writers run deterministic
-// scripts of plain and cancellable acquires, asserting the
-// reader/writer exclusion protocol and the lock's invariants after
-// every operation.
+// scripts of plain and cancellable acquires.
 func RWChurn(o RWOpts) check.Workload {
 	if o.Readers <= 0 {
 		o.Readers = 2
@@ -629,84 +416,20 @@ func RWChurn(o RWOpts) check.Workload {
 	if o.Ops <= 0 {
 		o.Ops = 4
 	}
-	if o.Period == 0 {
-		o.Period = 2 * time.Millisecond
-	}
-	var l *scl.RWLock
-	return check.Workload{
-		Name: "rw-churn",
-		Setup: func(s *check.Sched) {
-			l = scl.NewRWLock(1, 1, o.Period)
-			readers := new(int)
-			writers := new(int)
-			checkState := func() {
-				if *writers > 1 {
-					s.Failf("%d writers active", *writers)
-				}
-				if *writers == 1 && *readers > 0 {
-					s.Failf("writer active with %d readers", *readers)
-				}
+	return scenario.Explorable("rw-churn", rwSpec(o.Readers, o.Writers, o.Period, func(e int) []sim.ScriptOp {
+		rng := rand.New(rand.NewSource(o.Seed*999983 + int64(e)))
+		var ops []sim.ScriptOp
+		for i := 0; i < o.Ops; i++ {
+			held := time.Duration(50+rng.Intn(1000)) * time.Microsecond
+			pause := time.Duration(rng.Intn(1500)) * time.Microsecond
+			op := sim.ScriptOp{Kind: sim.OpAcquire, Hold: held, Timeout: time.Duration(rng.Intn(1500)) * time.Microsecond}
+			if o.Cancel && rng.Intn(4) == 0 {
+				op.Kind = sim.OpAcquireTimeout
 			}
-			spawn := func(name string, e int, write bool) {
-				rng := rand.New(rand.NewSource(o.Seed*999983 + int64(e)))
-				s.Go(name, func() {
-					for i := 0; i < o.Ops; i++ {
-						hold := time.Duration(50+rng.Intn(1000)) * time.Microsecond
-						think := time.Duration(rng.Intn(1500)) * time.Microsecond
-						cancelAt := time.Duration(rng.Intn(1500)) * time.Microsecond
-						useCancel := o.Cancel && rng.Intn(4) == 0
-						acquired := true
-						if useCancel {
-							ctx, cancel := context.WithCancel(context.Background())
-							s.Go("canceller", func() {
-								check.Sleep(cancelAt)
-								cancel()
-							})
-							var err error
-							if write {
-								err = l.WLockContext(ctx)
-							} else {
-								err = l.RLockContext(ctx)
-							}
-							acquired = err == nil
-							cancel()
-						} else if write {
-							l.WLock()
-						} else {
-							l.RLock()
-						}
-						if acquired {
-							if write {
-								*writers++
-							} else {
-								*readers++
-							}
-							checkState()
-							check.Sleep(hold)
-							if write {
-								*writers--
-								l.WUnlock()
-							} else {
-								*readers--
-								l.RUnlock()
-							}
-						}
-						if err := l.CheckInvariants(); err != nil {
-							s.Failf("invariants broken after op %d: %v", i, err)
-						}
-						check.Sleep(think)
-					}
-				})
-			}
-			for r := 0; r < o.Readers; r++ {
-				spawn(fmt.Sprintf("r%d", r), r, false)
-			}
-			for w := 0; w < o.Writers; w++ {
-				spawn(fmt.Sprintf("w%d", w), o.Readers+w, true)
-			}
-		},
-		Validate: func() error { return l.CheckInvariants() },
-	}
+			ops = append(ops, op, think(pause))
+		}
+		return ops
+	}))
 }
 
 // RWWritersOpts configures the writer-only RWLock workload.
@@ -719,72 +442,22 @@ type RWWritersOpts struct {
 // RWWriters drives two writers and no readers through zero-length
 // critical sections, so every schedule stays inside the write phase
 // where the lone-writer fast path (fastWLock/fastWUnlock) races the
-// slow acquire and release under the lock's mutex. The section is a
-// check.Point, a decision site of its own, so the explorer can run the
-// other writer's whole fast acquire and release inside a hold. On every
-// schedule it asserts writer exclusion, exactly-once execution of each
-// section, the lock's invariants after every operation, and writer-op
-// conservation; a writer whose grant is lost parks forever and
-// surfaces as a checker deadlock.
+// slow acquire and release under the lock's mutex. A zero hold is still
+// a decision site inside the section, so the explorer can run the other
+// writer's whole fast acquire and release inside a hold. A writer whose
+// grant is lost parks forever and surfaces as a checker deadlock.
 func RWWriters(o RWWritersOpts) check.Workload {
-	const ops = 3 // critical sections per writer
 	name := "rw-writers"
 	if o.Do {
 		name = "rw-writers-do"
 	}
-	var l *scl.RWLock
-	executed := make([][]int, 2)
-	return check.Workload{
-		Name: name,
-		Setup: func(s *check.Sched) {
-			l = scl.NewRWLock(1, 1, 2*time.Millisecond)
-			writers := new(int)
-			for w := range executed {
-				w := w
-				executed[w] = make([]int, ops)
-				s.Go(fmt.Sprintf("w%d", w), func() {
-					for i := 0; i < ops; i++ {
-						i := i
-						section := func() {
-							*writers++
-							if *writers != 1 {
-								s.Failf("%d writers active", *writers)
-							}
-							check.Point("rw.writers.cs")
-							*writers--
-							executed[w][i]++
-						}
-						if o.Do && w == 1 {
-							l.Do(section)
-						} else {
-							l.WLock()
-							section()
-							l.WUnlock()
-						}
-						if err := l.CheckInvariants(); err != nil {
-							s.Failf("invariants broken after op %d: %v", i, err)
-						}
-					}
-				})
-			}
-		},
-		Validate: func() error {
-			if err := l.CheckInvariants(); err != nil {
-				return err
-			}
-			for w, ops := range executed {
-				for i, n := range ops {
-					if n != 1 {
-						return fmt.Errorf("writer %d op %d executed %d times (want exactly once)", w, i, n)
-					}
-				}
-			}
-			if n, want := l.Stats().WriterOps, int64(2*ops); n != want {
-				return fmt.Errorf("writer op conservation broken: lock counted %d, want %d", n, want)
-			}
-			return nil
-		},
-	}
+	return scenario.Explorable(name, rwSpec(0, 2, 0, func(e int) []sim.ScriptOp {
+		kind := sim.OpAcquire
+		if o.Do && e == 1 {
+			kind = sim.OpDo
+		}
+		return []sim.ScriptOp{{Kind: kind}, {Kind: kind}, {Kind: kind}}
+	}))
 }
 
 // ManagerOpts configures the lock-table churn workload.
@@ -810,121 +483,34 @@ type ManagerOpts struct {
 	GC bool
 }
 
-func (o *ManagerOpts) defaults() {
+// ManagerChurn drives a striped lock table through multi-key tenant
+// churn: tenants run MutexChurn's op mix over a small key space (two
+// stripes, so the explorer interleaves the stripe decision sites
+// mgr.stripe/mgr.materialize/mgr.release/mgr.reap), with a try as a
+// plain acquire (the Manager has no TryLock), optionally closing and
+// re-registering mid-run. The invariants after every op cover stripe
+// books conservation and in-flight agreement between the key and
+// tenant views.
+func ManagerChurn(o ManagerOpts) check.Workload {
 	if o.Tenants <= 0 {
 		o.Tenants = 3
 	}
 	if o.Keys <= 0 {
 		o.Keys = 4
 	}
-	if o.Ops <= 0 {
-		o.Ops = 4
-	}
-}
-
-// ManagerChurn drives a striped lock table through multi-key tenant
-// churn: tenants run deterministic scripts of plain and cancellable
-// acquires over a small key space (two stripes, so the explorer
-// interleaves the stripe decision sites mgr.stripe/mgr.materialize/
-// mgr.release/mgr.reap), optionally closing and re-registering mid-run.
-// On every schedule it asserts per-key mutual exclusion via shared
-// holder counters, full manager invariants after each operation
-// (stripe books conservation, in-flight agreement between the key and
-// tenant views), and clean teardown: once every tenant has closed, no
-// identity survives in any stripe's books.
-func ManagerChurn(o ManagerOpts) check.Workload {
-	o.defaults()
-	var m *scl.Manager
-	return check.Workload{
-		Name: "manager-churn",
-		Setup: func(s *check.Sched) {
-			mo := scl.ManagerOptions{Stripes: 2, Lock: scl.Options{Slice: o.Slice}}
-			if o.GC {
-				mo.LockIdle = 5 * time.Millisecond
-				mo.TenantIdle = 10 * time.Millisecond
-			}
-			m = scl.NewManager(mo)
-			held := make([]int, o.Keys)
-			for e := 0; e < o.Tenants; e++ {
-				e := e
-				script := o.script(e) // reuse the mutex op mix
-				rng := rand.New(rand.NewSource(o.Seed*7901 + int64(e)))
-				keys := make([]int, len(script))
-				for i := range keys {
-					keys[i] = rng.Intn(o.Keys)
-				}
-				tn := m.Tenant(fmt.Sprintf("t%d", e), 1024)
-				s.Go(fmt.Sprintf("t%d", e), func() {
-					runManagerScript(s, m, &tn, script, keys, held)
-				})
-			}
-		},
-		Validate: func() error {
-			if err := m.CheckInvariants(); err != nil {
-				return err
-			}
-			if st := m.Stats(); st.Identities != 0 {
-				return fmt.Errorf("%d tenant identities survive after every tenant closed", st.Identities)
-			}
-			return nil
-		},
-	}
-}
-
-// script reuses the MutexOpts op mix for a ManagerOpts (same kinds,
-// same distribution — opTry maps to a plain acquire, the Manager has no
-// TryLock).
-func (o ManagerOpts) script(e int) []op {
 	mo := MutexOpts{Ops: o.Ops, Seed: o.Seed, Cancel: o.Cancel, CloseMid: o.CloseMid}
 	mo.defaults()
-	return mo.script(e)
-}
-
-// runManagerScript executes one tenant's scripted multi-key ops.
-func runManagerScript(s *check.Sched, m *scl.Manager, tn **scl.Tenant, script []op, keys []int, held []int) {
-	for i, o := range script {
-		key := fmt.Sprintf("k%d", keys[i])
-		ki := keys[i]
-		switch o.kind {
-		case opLock, opTry:
-			g := (*tn).Lock(key)
-			held[ki]++
-			if held[ki] != 1 {
-				s.Failf("mutual exclusion violated on %s: %d holders", key, held[ki])
-			}
-			check.Sleep(o.hold)
-			held[ki]--
-			g.Unlock()
-		case opCancel:
-			ctx, cancel := context.WithCancel(context.Background())
-			s.Go("canceller", func() {
-				check.Sleep(o.wait)
-				cancel()
-			})
-			if g, err := (*tn).LockContext(ctx, key); err == nil {
-				held[ki]++
-				if held[ki] != 1 {
-					s.Failf("mutual exclusion violated on %s: %d holders", key, held[ki])
-				}
-				check.Sleep(o.hold)
-				held[ki]--
-				g.Unlock()
-			}
-			cancel()
-		case opClose:
-			name := (*tn).Name()
-			(*tn).Close()
-			check.Sleep(o.wait)
-			*tn = m.Tenant(name, 1024)
-		case opThink:
-			check.Sleep(o.wait)
-		}
-		if err := m.CheckInvariants(); err != nil {
-			s.Failf("invariants broken after op %d: %v", i, err)
-		}
+	s := scenario.Spec{Table: &scenario.TableSpec{
+		Options: scl.ManagerOptions{Stripes: 2, Lock: scl.Options{Slice: o.Slice}},
+		Keys:    o.Keys,
+	}}
+	if o.GC {
+		s.Table.Options.LockIdle = 5 * time.Millisecond
+		s.Table.Options.TenantIdle = 10 * time.Millisecond
 	}
-	(*tn).Close()
-	if err := m.CheckInvariants(); err != nil {
-		s.Failf("invariants broken after close: %v", err)
+	for e := 0; e < o.Tenants; e++ {
+		rng := rand.New(rand.NewSource(o.Seed*7901 + int64(e)))
+		s.Entities = append(s.Entities, entity("t", e, mo.script(e, func() int { return rng.Intn(o.Keys) })))
 	}
+	return scenario.Explorable("manager-churn", s)
 }

@@ -65,14 +65,14 @@ func RunCheck(c *Compiled) (sim.ScriptResult, error) {
 		}
 		return mergeKeyed(c, per), nil
 	}
-	return runCheck(c, func() ([]sim.ScriptEntity, lock) { return realLock(c) })
+	return runCheck(specOf(c), nil)
 }
 
 // runCheckKeyed runs every key's script on the check substrate.
 func runCheckKeyed(c *Compiled) ([]sim.ScriptResult, error) {
 	per := make([]sim.ScriptResult, len(c.Keyed))
 	for k, s := range c.Keyed {
-		r, err := runCheck(c, func() ([]sim.ScriptEntity, lock) { return newMutexLock(c.Scenario.Name, s) })
+		r, err := runCheck(mutexSpec(c.Scenario.Name, s), nil)
 		if err != nil {
 			return nil, fmt.Errorf("key %d: %w", k, err)
 		}
@@ -81,11 +81,15 @@ func runCheckKeyed(c *Compiled) ([]sim.ScriptResult, error) {
 	return per, nil
 }
 
-// runCheck drives the lock build makes once under a FirstChooser. The
-// invariants are checked at teardown only: the explorer's check after
-// every op cost 15–20% of BenchmarkScenarioCheck on this substrate.
-func runCheck(c *Compiled, build func() ([]sim.ScriptEntity, lock)) (sim.ScriptResult, error) {
-	w, d := checkWorkload(c, build, false)
+// runCheck drives s once under a FirstChooser, on the lock newLock
+// builds (nil: s's own). The invariants are checked at teardown only:
+// the explorer's check after every op cost 15–20% of
+// BenchmarkScenarioCheck on this substrate.
+func runCheck(s Spec, newLock func() lock) (sim.ScriptResult, error) {
+	if newLock == nil {
+		newLock = s.lock
+	}
+	w, d := checkWorkload("", s, newLock, false)
 	if r := check.RunWith(check.NewFirstChooser(), 0, w); r.Failure != nil {
 		return d.res, fmt.Errorf("check run failed: %v", r.Failure)
 	}
@@ -127,11 +131,12 @@ func mergeKeyed(c *Compiled, per []sim.ScriptResult) sim.ScriptResult {
 func RunWall(c *Compiled) (sim.ScriptResult, error) {
 	rt := &wallRT{start: time.Now()}
 	d := &driver{rt: rt}
-	d.start(realLock(c))
+	s := specOf(c)
+	d.start(s, s.lock())
 	if err := rt.wait(wallWatchdog(c.Scenario)); err != nil {
 		return sim.ScriptResult{}, err
 	}
-	if err := d.lk.teardown(&d.res); err != nil {
+	if err := d.teardown(); err != nil {
 		return d.res, fmt.Errorf("wall teardown: %w", err)
 	}
 	return d.res, nil

@@ -366,23 +366,7 @@ func (t *Tenant) acquire(ctx context.Context, key string, mode int) (*Grant, err
 			break // proceed, still holding s.mu
 		}
 		unlockMutex(&s.mu)
-		if done == nil {
-			if !check.Sleep(until - now) {
-				time.Sleep(until - now)
-			}
-			continue
-		}
-		if cancelled, handled := check.SleepOrDone(until-now, done); handled {
-			if cancelled {
-				return nil, ctx.Err()
-			}
-			continue
-		}
-		tm := time.NewTimer(until - now)
-		select {
-		case <-tm.C:
-		case <-done:
-			tm.Stop()
+		if sleepBan(until-now, done) {
 			return nil, ctx.Err()
 		}
 	}

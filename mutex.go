@@ -465,26 +465,7 @@ func (m *Mutex) lockSlow(h *Handle, ctx context.Context) error {
 			break // proceed, still holding m.mu
 		}
 		m.unlockMu()
-		if done == nil {
-			if !check.Sleep(until - now) {
-				time.Sleep(until - now)
-			}
-			continue
-		}
-		// A cancellable acquire must be able to walk away mid-penalty:
-		// the ban only makes an uncancellable wait longer.
-		if cancelled, handled := check.SleepOrDone(until-now, done); handled {
-			if cancelled {
-				m.noteAbandon(h, reqAt)
-				return ctx.Err()
-			}
-			continue
-		}
-		t := time.NewTimer(until - now)
-		select {
-		case <-t.C:
-		case <-done:
-			t.Stop()
+		if sleepBan(until-now, done) {
 			m.noteAbandon(h, reqAt)
 			return ctx.Err()
 		}
@@ -894,10 +875,15 @@ func (m *Mutex) unlockSlow(h *Handle) {
 	switch {
 	case ghost:
 		// Closed while this hold was in flight: finish the deferred
-		// unregistration and run the boundary — there is no owner left to
-		// keep the slice for.
+		// unregistration, which is the boundary — there is no owner left
+		// to keep the slice for. Under the Handle contract the drop can
+		// neither bail nor meet an unowned slice: the holder started or
+		// inherited the running slice and nothing clears it under a hold;
+		// every handle of the entity is closed, so no sibling is queued or
+		// combining; and the release above ended the hold. So it
+		// unregisters the slice owner, and hands the free lock to a queued
+		// waiter or leaves it free with no slice.
 		m.dropGhostLocked(h.id, now)
-		m.transferLocked(now)
 	case intra != nil:
 		m.fastSince = -1
 		intra.intra = true

@@ -40,6 +40,14 @@ const (
 	// substrates may legitimately order concurrent OpDo grants
 	// differently (scenario files allow grant-order for that).
 	OpDo
+	// OpTry is one non-blocking attempt (scl.Handle.TryLock) that holds
+	// for Hold when it succeeds. Real locks only: RunScript panics on it
+	// and the scenario compiler never emits it.
+	OpTry
+	// OpCloseHeld acquires, closes the entity's handle while holding,
+	// and releases through the closed handle after Hold; a later op
+	// reopens it. Real locks only, like OpTry.
+	OpCloseHeld
 )
 
 // ScriptOp is one scripted operation.
@@ -48,6 +56,7 @@ type ScriptOp struct {
 	Hold    time.Duration // critical-section length (acquire kinds)
 	Think   time.Duration // off-lock time (OpThink)
 	Timeout time.Duration // give-up deadline (OpAcquireTimeout)
+	Key     int           // lock-table key the op addresses
 }
 
 // ScriptEntity is one entity's deterministic operation sequence.
@@ -150,6 +159,8 @@ func RunScript(s Script) ScriptResult {
 					l.Do(t, op.Hold)
 					res.Grants = append(res.Grants, i)
 					res.Hold[i] += op.Hold
+				default:
+					panic(fmt.Sprintf("sim: script op kind %d runs on the real locks only", op.Kind))
 				}
 			}
 			// End-of-script close, mirroring a real entity's deferred
