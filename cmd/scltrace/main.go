@@ -9,8 +9,10 @@
 //	scltrace [-lock uscl|kscl|mutex|spin|ticket] [-threads 3]
 //	         [-cs 500µs] [-horizon 50ms] [-tail 40] [-seed 1] [-json]
 //
-// With -json the full trace is written to stdout as JSON lines of
-// trace.Event — the dump format cmd/scltop replays:
+// The simulator records trace.Events directly (task name in Name, the
+// -lock kind in Lock), so the text log is trace.Format's and -json
+// writes the full trace as JSON lines — the dump format cmd/scltop
+// replays:
 //
 //	scltrace -json > dump.jsonl && scltop -replay dump.jsonl
 package main
@@ -56,52 +58,28 @@ func main() {
 	counters := workload.SpawnLoops(e, lk, specs)
 	e.Run()
 
+	evs := e.TraceEvents()
+	for i := range evs {
+		evs[i].Lock = *lockKind
+	}
 	if *jsonOut {
-		if err := trace.WriteJSONL(os.Stdout, convert(e.TraceEvents(), *lockKind)); err != nil {
+		if err := trace.WriteJSONL(os.Stdout, evs); err != nil {
 			fmt.Fprintln(os.Stderr, "scltrace:", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	evs := e.TraceEvents()
+	total := len(evs)
 	if len(evs) > *tail {
 		fmt.Printf("... %d earlier events elided ...\n", len(evs)-*tail)
 		evs = evs[len(evs)-*tail:]
 	}
-	fmt.Print(sim.FormatTrace(evs))
+	fmt.Print(trace.Format(evs))
 
 	s := lk.Stats()
-	fmt.Printf("\n%d events total; per-thread holds over %v:\n", len(e.TraceEvents()), *horizon)
+	fmt.Printf("\n%d events total; per-thread holds over %v:\n", total, *horizon)
 	for i := 0; i < *threads; i++ {
 		fmt.Printf("  t%d: %8d ops, held %v\n", i, counters.Ops[i], s.Hold(i).Round(time.Microsecond))
 	}
-}
-
-// convert maps simulator trace events onto the scl/trace schema so the
-// same tooling (scltop -replay, trace.Aggregate) reads both real-lock
-// ring dumps and simulator dumps. Simulator tasks have names but no
-// entity IDs; trace.Aggregate keys by name in that case.
-func convert(evs []sim.TraceEvent, lock string) []trace.Event {
-	kinds := map[sim.TraceKind]trace.Kind{
-		sim.TraceAcquire:  trace.KindAcquire,
-		sim.TraceRelease:  trace.KindRelease,
-		sim.TraceBan:      trace.KindBan,
-		sim.TraceTransfer: trace.KindHandoff,
-	}
-	out := make([]trace.Event, 0, len(evs))
-	for _, ev := range evs {
-		k, ok := kinds[ev.Kind]
-		if !ok {
-			k = trace.Kind(ev.Kind)
-		}
-		out = append(out, trace.Event{
-			At:     ev.At,
-			Kind:   k,
-			Lock:   lock,
-			Name:   ev.Task,
-			Detail: ev.Detail,
-		})
-	}
-	return out
 }

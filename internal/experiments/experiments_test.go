@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
+
+	"scl/internal/check"
 )
 
 // tiny runs experiments fast enough for the unit-test suite.
@@ -85,19 +88,42 @@ func TestTable2MatchesPaperShape(t *testing.T) {
 	}
 }
 
+// checkClock runs the soak's tenant loops on the deterministic
+// checker: virtual time, one goroutine at a time in a fixed order, so
+// the result depends on the seed alone, not on the machine's load.
+type checkClock struct {
+	s     *check.Sched
+	steps int // scheduling steps the run took
+}
+
+func (c *checkClock) now() time.Duration           { return c.s.Now() }
+func (c *checkClock) spawn(name string, fn func()) { c.s.Go(name, fn) }
+func (c *checkClock) hold(d time.Duration)         { check.Sleep(d) }
+func (c *checkClock) sleep(d time.Duration)        { check.Sleep(d) }
+
+func (c *checkClock) wait() error {
+	res := c.s.Run()
+	c.steps = res.Steps
+	if res.Failure != nil {
+		return errors.New(res.Failure.String())
+	}
+	return nil
+}
+
 // TestSoakFairness is the lock-table acceptance test: under the
 // multi-tenant soak, the noisy tenants must not subvert the light
 // class — light hold-share fairness stays near 1 and light acquire
 // p99 stays bounded (noisy greed converts to noisy bans, not light
-// tail latency).
+// tail latency). It runs the soak on the checker's virtual clock.
 func TestSoakFairness(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak sleeps real time")
-	}
-	res, err := Soak(Options{Seed: 7, Scale: 0.5})
+	c := &checkClock{s: check.NewSched(check.NewFirstChooser(), 1_000_000)}
+	check.Install(c.s)
+	res, err := soak(Options{Seed: 7, Scale: 0.5}, c)
+	check.Uninstall(c.s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("%d steps on the checker clock:\n%s", c.steps, res)
 	if res.LightJain < 0.9 {
 		t.Errorf("light-tenant Jain(hold) = %.3f, want >= 0.9:\n%s", res.LightJain, res)
 	}

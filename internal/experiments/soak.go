@@ -76,8 +76,49 @@ const (
 	soakKeys  = 24
 )
 
+// soakClock is the one seam between Soak's tenant loops and time: the
+// wall clock (Soak, sclbench -exp soak) or a virtual clock, such as the
+// deterministic checker's in TestSoakFairness.
+type soakClock interface {
+	// now is the time since the run started.
+	now() time.Duration
+	// spawn starts one tenant loop.
+	spawn(name string, fn func())
+	// hold passes a critical section's length; sleep a think time's.
+	hold(d time.Duration)
+	sleep(d time.Duration)
+	// wait runs every spawned loop to its end.
+	wait() error
+}
+
+// wallClock runs the loops as goroutines on the wall clock, spinning
+// through critical sections.
+type wallClock struct {
+	start time.Time
+	wg    sync.WaitGroup
+}
+
+func (c *wallClock) now() time.Duration { return time.Since(c.start) }
+
+func (c *wallClock) spawn(_ string, fn func()) {
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		fn()
+	}()
+}
+
+func (c *wallClock) hold(d time.Duration)  { spin(d) }
+func (c *wallClock) sleep(d time.Duration) { time.Sleep(d) }
+func (c *wallClock) wait() error           { c.wg.Wait(); return nil }
+
 // Soak runs the multi-tenant table soak on a real scl.Manager.
 func Soak(o Options) (*SoakResult, error) {
+	return soak(o, &wallClock{start: time.Now()})
+}
+
+// soak runs the table soak with every tenant loop on clock c.
+func soak(o Options, c soakClock) (*SoakResult, error) {
 	horizon := o.scaled(1 * time.Second)
 	if horizon < 40*time.Millisecond {
 		horizon = 40 * time.Millisecond
@@ -110,13 +151,9 @@ func Soak(o Options) (*SoakResult, error) {
 		})
 	}
 
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	for i, tr := range runs {
 		i, tr := i, tr
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		c.spawn(tr.tn.Name(), func() {
 			// Key choice is seeded per tenant so the key-access pattern
 			// is reproducible even though wall timing is not.
 			rng := rand.New(rand.NewSource(o.Seed*31 + int64(i)))
@@ -124,27 +161,22 @@ func Soak(o Options) (*SoakResult, error) {
 			if tr.class == "light" {
 				cs, think = 20*time.Microsecond, 200*time.Microsecond
 			}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for c.now() < horizon {
 				key := fmt.Sprintf("key-%02d", rng.Intn(soakKeys))
-				t0 := time.Now()
+				t0 := c.now()
 				g := tr.tn.Lock(key)
-				tr.waits.Add(time.Since(t0))
-				spin(cs)
+				tr.waits.Add(c.now() - t0)
+				c.hold(cs)
 				g.Unlock()
 				if think > 0 {
-					time.Sleep(think)
+					c.sleep(think)
 				}
 			}
-		}()
+		})
 	}
-	time.Sleep(horizon)
-	close(stop)
-	wg.Wait()
+	if err := c.wait(); err != nil {
+		return nil, err
+	}
 
 	stats := m.Stats()
 	var lightIDs []int64

@@ -25,8 +25,9 @@ import (
 //
 //   - Per key, each materialized lock runs the full SCL machinery with
 //     entity = tenant: a tenant's goroutines on one key share one
-//     accounted entity (handles pooled as siblings), so on every hot key
-//     lock opportunity is divided by tenant weight exactly as in §3.
+//     accounted entity (one seed handle per tenant per key), so on
+//     every hot key lock opportunity is divided by tenant weight
+//     exactly as in §3.
 //     The key locks default to k-SCL, as the paper's kernel lock does
 //     (§4.4): a table is shared by many tenants with short holds, and a
 //     key slice that outlives a hold makes every other tenant queued on
@@ -127,13 +128,12 @@ func WithTenantGC(threshold time.Duration) ManagerOption {
 }
 
 // stripe is one shard of the table: its own mutex, key map, tenant
-// books and per-tenant stats. All fields are guarded by mu (taken
+// books and per-tenant records. All fields are guarded by mu (taken
 // through the checkhooks seam).
 type stripe struct {
 	mu       sync.Mutex
 	books    *core.Accountant // tenant-level accounting, k-SCL style
 	keys     map[string]*managedLock
-	inflight map[core.ID]int // grants in flight per tenant (reap veto)
 	stats    map[core.ID]*tenantStat
 	nextReap time.Duration
 
@@ -142,38 +142,37 @@ type stripe struct {
 	tenantsReaped int64
 }
 
-// managedLock is one materialized key: the underlying SCL lock plus the
-// per-tenant handle pools that bind each tenant's goroutines to one
-// accounted entity on this key.
+// managedLock is one materialized key: the underlying SCL lock plus, on
+// a mutex table, each tenant's seed handle on it. A seed holds the
+// tenant's registration on the key lock, and every grant locks through
+// a copy of it: the copy shares the seed's id and entityRef, so all of
+// a tenant's goroutines on the key are one accounted entity (paper §6).
+// Copies are never closed. A copy is not counted in the entityRef's open
+// handles, so closing one would unregister the entity under the seed
+// and its other copies; the seed's Close stands for all of them. It
+// runs only once no copy can be in flight: when a closed tenant's last
+// grant on the stripe ends (dropTenantLocked). The key reap closes
+// nothing: it drops the whole lock, which no grant references then.
 type managedLock struct {
 	key      string
 	mu       *Mutex  // mutex tables
 	rw       *RWLock // RW-SCL tables
-	pools    map[core.ID]*tenantPool
+	seeds    map[core.ID]*Handle
 	inflight int           // grants in flight on this key
 	lastUsed time.Duration // last grant or release touch
 }
 
-// tenantPool pools a tenant's sibling handles on one key lock. The seed
-// handle is the canonical sibling source and is never handed out;
-// checked-out handles return to free on release. All handles share one
-// entity id, so concurrent goroutines of a tenant are one entity in the
-// key lock's accounting (paper §6).
-type tenantPool struct {
-	seed *Handle
-	free []*Handle
-	out  int
-}
-
-// tenantStat accumulates per-tenant counters on one stripe.
+// tenantStat is a tenant's record on one stripe: its counters and its
+// grants in flight.
 type tenantStat struct {
-	name    string
-	weight  int64
-	grants  int64
-	hold    time.Duration
-	bans    int64
-	banTime time.Duration
-	lastAt  time.Duration
+	name     string
+	weight   int64
+	grants   int64
+	hold     time.Duration
+	bans     int64
+	banTime  time.Duration
+	lastAt   time.Duration
+	inflight int // grants in flight on the stripe (reap veto)
 }
 
 // managerTenantIDs allocates tenant identities; one Tenant carries the
@@ -204,7 +203,6 @@ func NewManager(opts ManagerOptions, extra ...ManagerOption) *Manager {
 		s := &m.stripes[i]
 		s.books = core.NewAccountant(bp)
 		s.keys = make(map[string]*managedLock)
-		s.inflight = make(map[core.ID]int)
 		s.stats = make(map[core.ID]*tenantStat)
 	}
 	return m
@@ -257,7 +255,7 @@ func (m *Manager) TenantNice(name string, nice int) *Tenant {
 
 // Tenant is a registered table identity. All methods are safe for
 // concurrent use by any number of the tenant's goroutines; they share
-// one set of accounting books. Acquire with Lock (u-SCL tables) or
+// one set of accounting books. Acquire with Lock (mutex tables) or
 // RLock/WLock (RW tables) and release through the returned Grant.
 type Tenant struct {
 	m      *Manager
@@ -282,10 +280,13 @@ func (t *Tenant) Weight() int64 { return t.weight }
 type Grant struct {
 	t     *Tenant
 	s     *stripe
+	st    *tenantStat // the tenant's record on s, kept while in flight
 	ml    *managedLock
-	h     *Handle // u-SCL grants; nil for RW grants
 	mode  int
 	start time.Duration
+	// h is a mutex grant's copy of the tenant's seed on the key (zero
+	// for RW grants). It is never closed: see managedLock.
+	h Handle
 }
 
 const (
@@ -294,10 +295,11 @@ const (
 	modeWLock
 )
 
-// Lock acquires the key's u-SCL mutex on behalf of the tenant, blocking
-// through any table-level ban (the penalty for past over-use on this
-// stripe) and then through the key lock's own SCL discipline. It panics
-// on an RW table or a closed tenant.
+// Lock acquires the key's SCL mutex (k-SCL unless the table's
+// Lock.Slice is positive) on behalf of the tenant, blocking through any
+// table-level ban (the penalty for past over-use on this stripe) and
+// then through the key lock's own SCL discipline. It panics on an RW
+// table or a closed tenant.
 func (t *Tenant) Lock(key string) *Grant {
 	g, _ := t.acquire(nil, key, modeLock)
 	return g
@@ -357,10 +359,11 @@ func (t *Tenant) acquire(ctx context.Context, key string, mode int) (*Grant, err
 	// single-lock rule (§4.2), and the sleep happens outside the stripe
 	// mutex so banned tenants never block the table.
 	var now time.Duration
+	var st *tenantStat
 	for {
 		lockMutex(&s.mu)
 		now = monotime()
-		s.ensureTenantLocked(t, now)
+		st = s.ensureTenantLocked(t, now)
 		until := s.books.BannedUntil(t.id)
 		if until <= now {
 			break // proceed, still holding s.mu
@@ -377,10 +380,10 @@ func (t *Tenant) acquire(ctx context.Context, key string, mode int) (*Grant, err
 	}
 	ml.lastUsed = now
 	ml.inflight++
-	s.inflight[t.id]++
-	var h *Handle
+	st.inflight++
+	g := &Grant{t: t, s: s, st: st, ml: ml, mode: mode}
 	if mode == modeLock {
-		h = ml.takeHandleLocked(t)
+		g.h = *ml.seedLocked(t)
 	}
 	unlockMutex(&s.mu)
 	// Block on the key lock outside the stripe mutex: the key's queue and
@@ -389,9 +392,9 @@ func (t *Tenant) acquire(ctx context.Context, key string, mode int) (*Grant, err
 	switch mode {
 	case modeLock:
 		if ctx == nil {
-			h.Lock()
+			g.h.Lock()
 		} else {
-			err = h.LockContext(ctx)
+			err = g.h.LockContext(ctx)
 		}
 	case modeRLock:
 		if ctx == nil {
@@ -408,15 +411,14 @@ func (t *Tenant) acquire(ctx context.Context, key string, mode int) (*Grant, err
 	}
 	if err != nil {
 		lockMutex(&s.mu)
-		if h != nil {
-			ml.putHandleLocked(t, h)
-		}
 		ml.inflight--
-		s.decInflightLocked(t.id)
+		st.inflight--
+		s.settleClosedLocked(t, st)
 		unlockMutex(&s.mu)
 		return nil, err
 	}
-	return &Grant{t: t, s: s, ml: ml, h: h, mode: mode, start: monotime()}, nil
+	g.start = monotime()
+	return g, nil
 }
 
 // Unlock releases the granted key lock and books the grant's wall-clock
@@ -443,39 +445,31 @@ func (g *Grant) Unlock() {
 		g.ml.rw.WUnlock()
 	}
 	check.Point("mgr.release")
-	s, t := g.s, g.t
+	s, t, st := g.s, g.t, g.st
 	lockMutex(&s.mu)
-	if g.h != nil {
-		g.ml.putHandleLocked(t, g.h)
-	}
 	g.ml.inflight--
 	g.ml.lastUsed = now
-	s.decInflightLocked(t.id)
+	st.inflight--
 	pen := s.books.ChargeWindow(t.id, hold, now)
-	if st := s.stats[t.id]; st != nil {
-		st.grants++
-		st.hold += hold
-		st.lastAt = now
-		if pen > 0 {
-			st.bans++
-			st.banTime += pen
-		}
+	st.grants++
+	st.hold += hold
+	st.lastAt = now
+	if pen > 0 {
+		st.bans++
+		st.banTime += pen
 	}
-	s.maybeReapLocked(g.t.m, now)
-	if t.closed.Load() && s.inflight[t.id] == 0 {
-		s.dropTenantLocked(t.id)
-	}
+	s.maybeReapLocked(t.m, now)
+	s.settleClosedLocked(t, st)
 	unlockMutex(&s.mu)
-	g.ml = nil
-	g.h = nil
-	g.s = nil
+	*g = Grant{}
 }
 
-// Close unregisters the tenant from every stripe: pooled handles close,
-// its weight leaves the books, and survivors' shares grow immediately.
-// Grants still in flight complete normally — their release settles the
-// last of the tenant's state — but new acquisitions panic. Close is
-// idempotent and safe to call while the tenant's releases are racing.
+// Close unregisters the tenant from every stripe: its seed handles
+// close, its weight leaves the books, and survivors' shares grow
+// immediately. On a stripe where grants are still in flight they
+// complete normally, and the last one to end settles the tenant's state
+// there; new acquisitions panic. Close is idempotent and safe to call
+// while the tenant's releases are racing.
 func (t *Tenant) Close() {
 	if t.closed.Swap(true) {
 		return
@@ -485,10 +479,7 @@ func (t *Tenant) Close() {
 	for i := range m.stripes {
 		s := &m.stripes[i]
 		lockMutex(&s.mu)
-		for _, ml := range s.keys {
-			ml.closeTenantLocked(t.id)
-		}
-		if s.inflight[t.id] == 0 {
+		if st := s.stats[t.id]; st == nil || st.inflight == 0 {
 			s.dropTenantLocked(t.id)
 		}
 		unlockMutex(&s.mu)
@@ -496,9 +487,9 @@ func (t *Tenant) Close() {
 }
 
 // ensureTenantLocked (re-)registers the tenant in the stripe books —
-// cheap when already present (a weight refresh) — and keeps a stats
-// entry alive for it.
-func (s *stripe) ensureTenantLocked(t *Tenant, now time.Duration) {
+// cheap when already present (a weight refresh) — and returns its
+// record, created if missing.
+func (s *stripe) ensureTenantLocked(t *Tenant, now time.Duration) *tenantStat {
 	s.books.Register(t.id, t.weight, now)
 	st := s.stats[t.id]
 	if st == nil {
@@ -506,21 +497,29 @@ func (s *stripe) ensureTenantLocked(t *Tenant, now time.Duration) {
 		s.stats[t.id] = st
 	}
 	st.lastAt = now
+	return st
 }
 
-func (s *stripe) decInflightLocked(id core.ID) {
-	if v := s.inflight[id] - 1; v > 0 {
-		s.inflight[id] = v
-	} else {
-		delete(s.inflight, id)
+// settleClosedLocked drops a closed tenant's stripe state once its last
+// grant on the stripe has ended; st is the tenant's record.
+func (s *stripe) settleClosedLocked(t *Tenant, st *tenantStat) {
+	if st.inflight == 0 && t.closed.Load() {
+		s.dropTenantLocked(t.id)
 	}
 }
 
 // dropTenantLocked removes a closed tenant's stripe state once nothing
-// is in flight. An unserved ban dies with the identity: the tenant is
-// gone, and a successor registers under a fresh ID through the
+// is in flight: its seeds on the stripe's keys close, and its weight and
+// record leave the books. An unserved ban dies with the identity: the
+// tenant is gone, and a successor registers under a fresh ID through the
 // join-credit floor, so the departure cannot be farmed.
 func (s *stripe) dropTenantLocked(id core.ID) {
+	for _, ml := range s.keys {
+		if h := ml.seeds[id]; h != nil {
+			h.Close()
+			delete(ml.seeds, id)
+		}
+	}
 	s.books.Unregister(id)
 	delete(s.stats, id)
 }
@@ -531,7 +530,7 @@ func (s *stripe) dropTenantLocked(id core.ID) {
 // changes anyone's table-wide standing.
 func (s *stripe) materializeLocked(m *Manager, key string, now time.Duration) *managedLock {
 	check.Point("mgr.materialize")
-	ml := &managedLock{key: key, pools: make(map[core.ID]*tenantPool), lastUsed: now}
+	ml := &managedLock{key: key, lastUsed: now}
 	lo := m.opts.Lock
 	lo.Name = key
 	if m.opts.RW {
@@ -555,81 +554,25 @@ func (s *stripe) materializeLocked(m *Manager, key string, now time.Duration) *m
 			lo.Slice = -1 // k-SCL keys: see ManagerOptions.Lock
 		}
 		ml.mu = NewMutex(lo)
+		ml.seeds = make(map[core.ID]*Handle)
 	}
 	s.keys[key] = ml
 	s.materialized++
 	return ml
 }
 
-// takeHandleLocked checks a sibling handle out of the tenant's pool on
-// this key, registering the tenant with the key lock on first touch.
-func (ml *managedLock) takeHandleLocked(t *Tenant) *Handle {
-	pool := ml.pools[t.id]
-	if pool == nil {
-		seed := ml.mu.RegisterWeight(t.weight)
+// seedLocked returns the tenant's seed handle on this key, registering
+// the tenant with the key lock on first touch.
+func (ml *managedLock) seedLocked(t *Tenant) *Handle {
+	h := ml.seeds[t.id]
+	if h == nil {
+		h = ml.mu.RegisterWeight(t.weight)
 		if t.name != "" {
-			seed.SetName(t.name)
+			h.SetName(t.name)
 		}
-		pool = &tenantPool{seed: seed}
-		ml.pools[t.id] = pool
+		ml.seeds[t.id] = h
 	}
-	pool.out++
-	if n := len(pool.free); n > 0 {
-		h := pool.free[n-1]
-		pool.free = pool.free[:n-1]
-		return h
-	}
-	return pool.seed.Sibling()
-}
-
-// putHandleLocked returns a checked-out handle. For a closed tenant the
-// handle (and, once nothing is out, the whole pool) is dismantled
-// instead, finishing what Tenant.Close started.
-func (ml *managedLock) putHandleLocked(t *Tenant, h *Handle) {
-	pool := ml.pools[t.id]
-	if pool == nil {
-		h.Close() // pool dismantled mid-flight (tenant closed)
-		return
-	}
-	pool.out--
-	if t.closed.Load() {
-		h.Close()
-		if pool.out == 0 {
-			pool.seed.Close()
-			delete(ml.pools, t.id)
-		}
-		return
-	}
-	pool.free = append(pool.free, h)
-}
-
-// closeTenantLocked dismantles the tenant's pool on this key as far as
-// in-flight grants allow; putHandleLocked finishes the rest.
-func (ml *managedLock) closeTenantLocked(id core.ID) {
-	pool := ml.pools[id]
-	if pool == nil {
-		return
-	}
-	for _, h := range pool.free {
-		h.Close()
-	}
-	pool.free = nil
-	if pool.out == 0 {
-		pool.seed.Close()
-		delete(ml.pools, id)
-	}
-}
-
-// closeLocked dismantles an idle key lock (reap path: nothing in
-// flight, so every pool's handles are home).
-func (ml *managedLock) closeLocked() {
-	for id, pool := range ml.pools {
-		for _, h := range pool.free {
-			h.Close()
-		}
-		pool.seed.Close()
-		delete(ml.pools, id)
-	}
+	return h
 }
 
 // maybeReapLocked runs the lazy, rate-limited GC sweep of one stripe:
@@ -655,14 +598,14 @@ func (s *stripe) maybeReapLocked(m *Manager, now time.Duration) {
 			if ml.inflight != 0 || now-ml.lastUsed < lockIdle {
 				continue
 			}
-			ml.closeLocked()
 			delete(s.keys, key)
 			s.locksReaped++
 		}
 	}
 	if tenantIdle > 0 {
 		reaped := s.books.ExpireInactive(now, func(id core.ID) bool {
-			return s.inflight[id] > 0
+			st := s.stats[id]
+			return st != nil && st.inflight > 0
 		})
 		for _, r := range reaped {
 			delete(s.stats, r.ID)
@@ -740,7 +683,7 @@ func (m *Manager) Stats() ManagerStats {
 			a.Hold += st.hold
 			a.Bans += st.bans
 			a.BanTime += st.banTime
-			a.Inflight += s.inflight[id]
+			a.Inflight += st.inflight
 			out.Grants += st.grants
 		}
 		unlockMutex(&s.mu)
@@ -806,8 +749,7 @@ func (m *Manager) Keys() int {
 // CheckInvariants verifies the manager's cross-layer bookkeeping and
 // returns the first violation: every stripe's books pass the accountant
 // invariants, in-flight counts agree between the key and tenant views,
-// handle pools are consistent, and every materialized lock passes its
-// own invariant check. O(table); for tests and scldebug builds.
+// and every materialized lock passes its own invariant check. O(table); for tests and scldebug builds.
 func (m *Manager) CheckInvariants() error {
 	for i := range m.stripes {
 		s := &m.stripes[i]
@@ -831,11 +773,6 @@ func (s *stripe) checkLocked(i int) error {
 			return fmt.Errorf("scl: stripe %d key %q inflight %d < 0", i, key, ml.inflight)
 		}
 		keyFlight += ml.inflight
-		for id, pool := range ml.pools {
-			if pool.out < 0 {
-				return fmt.Errorf("scl: stripe %d key %q tenant %d pool out %d < 0", i, key, id, pool.out)
-			}
-		}
 		var err error
 		if ml.mu != nil {
 			err = ml.mu.CheckInvariants()
@@ -846,11 +783,11 @@ func (s *stripe) checkLocked(i int) error {
 			return fmt.Errorf("scl: stripe %d key %q: %w", i, key, err)
 		}
 	}
-	for id, n := range s.inflight {
-		if n <= 0 {
-			return fmt.Errorf("scl: stripe %d tenant %d inflight %d <= 0", i, id, n)
+	for id, st := range s.stats {
+		if st.inflight < 0 {
+			return fmt.Errorf("scl: stripe %d tenant %d inflight %d < 0", i, id, st.inflight)
 		}
-		tenFlight += n
+		tenFlight += st.inflight
 	}
 	if keyFlight != tenFlight {
 		return fmt.Errorf("scl: stripe %d inflight mismatch: keys %d, tenants %d", i, keyFlight, tenFlight)

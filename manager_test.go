@@ -457,3 +457,149 @@ func TestManagerRWPeriodUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// closeSeen is what a close case observed: tenant a's grants in flight
+// and the waiters on key "k" when Close began, and whether a's acquire
+// of "k" was cancelled.
+type closeSeen struct {
+	inflight, queued int
+	cancelled        bool
+}
+
+// closeWorkload is one tenant-close case on the checker clock, on a
+// table whose keys have the given slice (0: k-SCL, positive: u-SCL).
+// Tenant a touches key "j", then closes: with nothing in flight
+// ("idle"), while it holds key "k" ("held"), while its acquire of "k"
+// runs behind tenant b's hold ("queued"), or as in "queued" with the
+// acquire then cancelled ("cancelled"). Validate checks that the closed
+// tenants left no registration on any key lock.
+func closeWorkload(slice time.Duration, c string, seen *closeSeen) check.Workload {
+	var m *Manager
+	var cancel context.CancelFunc
+	return check.Workload{
+		Name: "manager-close-" + c,
+		Setup: func(s *check.Sched) {
+			m = NewManager(ManagerOptions{Lock: Options{Slice: slice}}, WithStripes(2))
+			a, b := m.Tenant("a", 1), m.Tenant("b", 1)
+			var ctx context.Context
+			ctx, cancel = context.WithCancel(context.Background())
+			var bHeld, aHeld, aStarted atomic.Bool
+			s.Go("b", func() {
+				g := b.Lock("k")
+				bHeld.Store(true)
+				check.Sleep(100 * time.Microsecond)
+				g.Unlock()
+				b.Lock("j").Unlock()
+				b.Close()
+			})
+			s.Go("a", func() {
+				a.Lock("j").Unlock()
+				if c == "idle" {
+					a.Close()
+					return
+				}
+				if c != "held" {
+					check.WaitOrDone("test.bheld", bHeld.Load, nil)
+				}
+				aStarted.Store(true)
+				g, err := a.LockContext(ctx, "k")
+				if err != nil {
+					seen.cancelled = true
+					return
+				}
+				aHeld.Store(true)
+				check.Sleep(50 * time.Microsecond)
+				g.Unlock()
+			})
+			if c == "idle" {
+				return
+			}
+			s.Go("closer", func() {
+				ready := aStarted.Load
+				if c == "held" {
+					ready = aHeld.Load
+				}
+				check.WaitOrDone("test.ready", ready, nil)
+				row, _ := m.Stats().Tenant(a.ID())
+				seen.inflight = row.Inflight
+				seen.queued = keyQueued(m, "k")
+				a.Close()
+				if c == "cancelled" {
+					cancel()
+				}
+			})
+		},
+		Validate: func() error {
+			cancel()
+			return closedTableClean(m)
+		},
+	}
+}
+
+// keyQueued returns the length of key's Mutex waiter queue.
+func keyQueued(m *Manager, key string) int {
+	s := m.stripeOf(key)
+	lockMutex(&s.mu)
+	ml := s.keys[key]
+	unlockMutex(&s.mu)
+	ml.mu.lockMu()
+	defer ml.mu.unlockMu()
+	return len(ml.mu.queue)
+}
+
+// closedTableClean checks a table whose tenants have all closed and
+// whose operations have all finished: the books are empty, and every
+// live key lock has no registered entity and no seed left.
+func closedTableClean(m *Manager) error {
+	if err := m.CheckInvariants(); err != nil {
+		return err
+	}
+	if n := m.Stats().Identities; n != 0 {
+		return fmt.Errorf("%d tenant identities left in the books", n)
+	}
+	for i := range m.stripes {
+		s := &m.stripes[i]
+		lockMutex(&s.mu)
+		for key, ml := range s.keys {
+			if n := ml.mu.Entities(); n != 0 || len(ml.seeds) != 0 {
+				unlockMutex(&s.mu)
+				return fmt.Errorf("key %q: %d entities registered, %d seeds left", key, n, len(ml.seeds))
+			}
+		}
+		unlockMutex(&s.mu)
+	}
+	return nil
+}
+
+// TestManagerCloseUnregisters: a closed tenant leaves no registration on
+// any key lock, on k-SCL and u-SCL keys alike, whether it closed idle,
+// with a grant in flight, with an acquire queued behind another tenant,
+// or with a queued acquire that is then cancelled. The forced schedule
+// pins each case; the explored schedules also land the Close at every
+// point of the acquire and the release.
+func TestManagerCloseUnregisters(t *testing.T) {
+	for _, slice := range []time.Duration{0, DefaultSlice} {
+		for _, c := range []struct {
+			name string
+			want closeSeen
+		}{
+			{"idle", closeSeen{}},
+			{"held", closeSeen{inflight: 1}},
+			{"queued", closeSeen{inflight: 1, queued: 1}},
+			{"cancelled", closeSeen{inflight: 1, queued: 1, cancelled: true}},
+		} {
+			var seen closeSeen
+			w := closeWorkload(slice, c.name, &seen)
+			if res := check.RunWith(check.NewFirstChooser(), 0, w); res.Failure != nil {
+				t.Fatalf("slice %v, %s: %v", slice, c.name, res.Failure)
+			}
+			if seen != c.want {
+				t.Fatalf("slice %v, %s: saw %+v at Close, want %+v", slice, c.name, seen, c.want)
+			}
+			sum := check.Explore(check.Opts{Schedules: 300, Seed: 1, Mode: "random"}, w)
+			if sum.Failure != nil {
+				t.Fatalf("slice %v, %s: %v", slice, c.name, sum.Failure)
+			}
+		}
+	}
+}

@@ -26,9 +26,9 @@
 //     ule_test.go.
 //   - cost.go — the micro-architectural cost model (acquisition cost,
 //     context-switch cost, wakeup latency).
-//   - trace.go — the simulator's own event trace (EnableTrace,
-//     TraceEvents); cmd/scltrace -json converts it to the scl/trace JSONL
-//     schema so cmd/scltop can replay simulated and real runs identically.
+//   - trace.go — the lock-event trace (EnableTrace, TraceEvents),
+//     recorded as scl/trace Events, so cmd/scltrace -json dumps and
+//     cmd/scltop replays simulated and real runs identically.
 //
 // Every table and figure of the paper's evaluation is regenerated on this
 // engine by internal/experiments, via cmd/sclbench. Use the simulator when

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"time"
+
+	"scl/trace"
 )
 
 // This file defines the differential oracle's shared workload format: a
@@ -175,8 +177,8 @@ func RunScript(s Script) ScriptResult {
 		byName[ent.Name] = i
 	}
 	for _, ev := range e.TraceEvents() {
-		if ev.Kind == TraceBan {
-			if i, ok := byName[ev.Task]; ok {
+		if ev.Kind == trace.KindBan {
+			if i, ok := byName[ev.Name]; ok {
 				res.Bans[i]++
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"scl/internal/metrics"
+	"scl/trace"
 )
 
 // LockStats accumulates per-lock measurements: per-task hold time and
@@ -40,7 +41,7 @@ func (s *LockStats) onAcquire(t *Task) {
 	s.holders++
 	s.acquisitions[t.id]++
 	s.inFlight[t.id] = s.e.now
-	s.e.traceEvent(TraceAcquire, t, 0)
+	s.e.traceEvent(trace.KindAcquire, t, 0)
 }
 
 // onRelease records a release and the hold duration.
@@ -51,7 +52,7 @@ func (s *LockStats) onRelease(t *Task, hold time.Duration) {
 	}
 	s.hold[t.id] += hold
 	delete(s.inFlight, t.id)
-	s.e.traceEvent(TraceRelease, t, hold)
+	s.e.traceEvent(trace.KindRelease, t, hold)
 }
 
 // onWait records how long t waited between requesting and acquiring.

@@ -1,44 +1,16 @@
 package sim
 
 import (
-	"fmt"
-	"strings"
 	"time"
+
+	"scl/trace"
 )
 
-// TraceKind classifies a traced lock event.
-type TraceKind string
-
-// Trace event kinds.
-const (
-	TraceAcquire  TraceKind = "acquire"
-	TraceRelease  TraceKind = "release"
-	TraceBan      TraceKind = "ban"
-	TraceTransfer TraceKind = "transfer"
-)
-
-// TraceEvent is one recorded lock event.
-type TraceEvent struct {
-	At   time.Duration
-	Kind TraceKind
-	Task string
-	// Detail carries kind-specific context (hold length for release, ban
-	// duration for ban).
-	Detail time.Duration
-}
-
-// String renders one event.
-func (ev TraceEvent) String() string {
-	if ev.Detail > 0 {
-		return fmt.Sprintf("%12v %-8s %-12s %v", ev.At, ev.Kind, ev.Task, ev.Detail)
-	}
-	return fmt.Sprintf("%12v %-8s %-12s", ev.At, ev.Kind, ev.Task)
-}
-
-// EnableTrace starts recording lock events (acquisitions, releases,
-// slice transfers, bans) across all locks created on this engine, keeping
-// at most cap events (older events are dropped, newest kept). Call before
-// Run; read with TraceEvents afterwards.
+// EnableTrace starts recording lock events as trace.Events (acquisitions,
+// releases, slice transfers as KindHandoff, bans) across all locks
+// created on this engine, keeping at most cap events (older events are
+// dropped, newest kept). Each event carries the task's name in Name and
+// no entity ID. Call before Run; read with TraceEvents afterwards.
 func (e *Engine) EnableTrace(cap int) {
 	if cap <= 0 {
 		cap = 1 << 16
@@ -47,32 +19,22 @@ func (e *Engine) EnableTrace(cap int) {
 }
 
 // TraceEvents returns the recorded events in chronological order.
-func (e *Engine) TraceEvents() []TraceEvent {
+func (e *Engine) TraceEvents() []trace.Event {
 	if e.trace == nil {
 		return nil
 	}
 	return e.trace.events()
 }
 
-// FormatTrace renders events as a text log.
-func FormatTrace(evs []TraceEvent) string {
-	var b strings.Builder
-	for _, ev := range evs {
-		b.WriteString(ev.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // traceBuf is a bounded ring of trace events.
 type traceBuf struct {
 	cap   int
-	buf   []TraceEvent
+	buf   []trace.Event
 	start int
 	full  bool
 }
 
-func (t *traceBuf) add(ev TraceEvent) {
+func (t *traceBuf) add(ev trace.Event) {
 	if len(t.buf) < t.cap {
 		t.buf = append(t.buf, ev)
 		return
@@ -82,22 +44,22 @@ func (t *traceBuf) add(ev TraceEvent) {
 	t.full = true
 }
 
-func (t *traceBuf) events() []TraceEvent {
+func (t *traceBuf) events() []trace.Event {
 	if !t.full {
-		out := make([]TraceEvent, len(t.buf))
+		out := make([]trace.Event, len(t.buf))
 		copy(out, t.buf)
 		return out
 	}
-	out := make([]TraceEvent, 0, t.cap)
+	out := make([]trace.Event, 0, t.cap)
 	out = append(out, t.buf[t.start:]...)
 	out = append(out, t.buf[:t.start]...)
 	return out
 }
 
 // traceEvent records one event if tracing is enabled.
-func (e *Engine) traceEvent(kind TraceKind, t *Task, detail time.Duration) {
+func (e *Engine) traceEvent(kind trace.Kind, t *Task, detail time.Duration) {
 	if e.trace == nil {
 		return
 	}
-	e.trace.add(TraceEvent{At: e.now, Kind: kind, Task: t.name, Detail: detail})
+	e.trace.add(trace.Event{At: e.now, Kind: kind, Name: t.name, Detail: detail})
 }

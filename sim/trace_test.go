@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"scl/trace"
 )
 
 func TestTraceRecordsLockEvents(t *testing.T) {
@@ -35,21 +37,21 @@ func TestTraceRecordsLockEvents(t *testing.T) {
 		}
 		prev = ev.At
 		switch ev.Kind {
-		case TraceAcquire:
+		case trace.KindAcquire:
 			sawAcquire = true
-		case TraceRelease:
+		case trace.KindRelease:
 			sawRelease = true
-			if ev.Task == "hog" && ev.Detail >= 20*time.Millisecond {
+			if ev.Name == "hog" && ev.Detail >= 20*time.Millisecond {
 				// the hog's long hold is visible in Detail
 			}
-		case TraceBan:
-			if !sawBan && ev.Task != "hog" {
+		case trace.KindBan:
+			if !sawBan && ev.Name != "hog" {
 				// The first ban must hit the hog; later ones can hit the
 				// peer once it overtakes its share of cumulative usage.
-				t.Fatalf("first ban recorded for %q, want hog", ev.Task)
+				t.Fatalf("first ban recorded for %q, want hog", ev.Name)
 			}
 			sawBan = true
-		case TraceTransfer:
+		case trace.KindHandoff:
 			sawTransfer = true
 		}
 	}
@@ -57,7 +59,7 @@ func TestTraceRecordsLockEvents(t *testing.T) {
 		t.Fatalf("missing kinds: acq=%v rel=%v ban=%v xfer=%v",
 			sawAcquire, sawRelease, sawBan, sawTransfer)
 	}
-	out := FormatTrace(evs[:3])
+	out := trace.Format(evs[:3])
 	if !strings.Contains(out, "acquire") {
 		t.Fatalf("formatted trace:\n%s", out)
 	}

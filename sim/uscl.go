@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"scl/internal/core"
+	"scl/trace"
 )
 
 // USCLParams configures a simulated Scheduler-Cooperative Lock.
@@ -181,7 +182,7 @@ func (l *USCL) drainCombine(t *Task) {
 	pens := l.acct.FoldBatch(charges, t.e.now)
 	for i, r := range batch {
 		if pens[i] > 0 {
-			l.e.traceEvent(TraceBan, r.t, pens[i])
+			l.e.traceEvent(trace.KindBan, r.t, pens[i])
 		}
 		r.done = true
 		l.wakeCombine(r, t)
@@ -549,7 +550,7 @@ func (l *USCL) Unlock(t *Task) {
 		l.acct.Expire(t.e.now)
 	}
 	if rel.Penalty > 0 {
-		l.e.traceEvent(TraceBan, t, rel.Penalty)
+		l.e.traceEvent(trace.KindBan, t, rel.Penalty)
 	}
 	if !rel.SliceExpired {
 		// Work-conserving classes (paper §6): a queued waiter from the
@@ -616,7 +617,7 @@ func (l *USCL) transferOwnership() {
 // the owning class's live slice.
 func (l *USCL) grantTo(w *usclWaiter, intra bool) {
 	if !intra {
-		l.e.traceEvent(TraceTransfer, w.t, 0)
+		l.e.traceEvent(trace.KindHandoff, w.t, 0)
 	}
 	l.transfer = true
 	w.intra = intra

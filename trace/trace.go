@@ -5,10 +5,9 @@
 // reconstructs the paper's fairness measurements — per-entity hold time,
 // lock opportunity and Jain's index — from an event stream.
 //
-// The package mirrors the simulator's tracing (sim.TraceEvent) for the
-// real locks, so a dump captured from a production process and a dump
-// captured from a simulation can be replayed through the same tooling
-// (cmd/scltop).
+// The simulator records the same Event (sim.Engine.TraceEvents), so a
+// dump captured from a production process and a dump captured from a
+// simulation can be replayed through the same tooling (cmd/scltop).
 package trace
 
 import (
