@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"scl"
+	"scl/internal/apps/replay"
 	"scl/internal/hashtable"
 	"scl/sim"
 )
@@ -112,9 +113,17 @@ type SimResult struct {
 	Horizon                time.Duration
 }
 
+// readNominal is the median read on the reference host, the one behind
+// results_full.txt (its Table 1 "KyotoCabinet Read" p50). RunSim's replay
+// clock charges a read of median length this much on any host: overlapping
+// reads are what starve the writer, so their length sets Figure 11's
+// operating point.
+const readNominal = 590 * time.Nanosecond
+
 // RunSim executes the simulated KyotoCabinet workload: Readers + Writers
 // workers pinned round-robin, real hash-table operations with measured
-// costs charged to simulated CPUs.
+// costs charged to simulated CPUs at the reference host's speed (a
+// replay.Clock calibrated on reads).
 func RunSim(cfg SimConfig) SimResult {
 	if cfg.CPUs == 0 {
 		cfg.CPUs = 8
@@ -143,6 +152,8 @@ func RunSim(cfg SimConfig) SimResult {
 		panic("kyoto: unknown lock " + cfg.Lock)
 	}
 	db := NewDB(cfg.Entries)
+	calRng := rand.New(rand.NewSource(cfg.Seed))
+	clock := replay.Calibrate(readNominal, 1000, func() { db.Read(calRng) })
 	total := cfg.Readers + cfg.Writers
 	ops := make([]int64, total)
 	for i := 0; i < total; i++ {
@@ -160,14 +171,14 @@ func RunSim(cfg SimConfig) SimResult {
 					lk.WLock(t)
 					start = time.Now()
 					db.Write(rng)
-					t.Compute(sinceAtLeast(start, 50*time.Nanosecond))
+					t.Compute(clock.Since(start))
 					lk.WUnlock(t)
 					t.Compute(cfg.WriterNCS)
 				} else {
 					lk.RLock(t)
 					start = time.Now()
 					db.Read(rng)
-					t.Compute(sinceAtLeast(start, 50*time.Nanosecond))
+					t.Compute(clock.Since(start))
 					lk.RUnlock(t)
 				}
 				t.Compute(200 * time.Nanosecond)
@@ -193,23 +204,6 @@ func RunSim(cfg SimConfig) SimResult {
 	res.ReaderTput = float64(res.ReaderOps) / secs
 	res.WriterTput = float64(res.WriterOps) / secs
 	return res
-}
-
-// sinceAtLeast returns the elapsed real time since start, floored at min
-// (clock granularity) and capped at 100µs: the substrate's operations are
-// microsecond-scale by construction, so larger readings are measurement
-// noise (a GC pause or OS preemption of the simulating process), not
-// critical-section work.
-func sinceAtLeast(start time.Time, min time.Duration) time.Duration {
-	const cap = 100 * time.Microsecond
-	d := time.Since(start)
-	if d < min {
-		return min
-	}
-	if d > cap {
-		return cap
-	}
-	return d
 }
 
 // RealConfig configures a real-goroutine KyotoCabinet run.

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"scl/internal/apps/replay"
 	"scl/sim"
 )
 
@@ -46,10 +47,17 @@ type SimResult struct {
 	InsertTput float64
 }
 
+// insertNominal is the median insert on the reference host, the one behind
+// results_full.txt (its Table 1 "UpScaleDB Insert" p50, timed on a store
+// grown from empty). RunSim's replay clock charges an insert of median
+// length this much on any host.
+const insertNominal = 3860 * time.Nanosecond
+
 // RunSim executes the simulated UpScaleDB workload. Each simulated thread
 // executes real B+-tree/journal operations on the shared store, measures
-// their actual duration, and charges that to the simulated CPU — so
-// critical-section lengths have the store's authentic distribution while
+// their actual duration, and charges that to the simulated CPU through a
+// replay.Clock calibrated on inserts — so critical-section lengths have
+// the store's authentic distribution at the reference host's speed while
 // scheduling and locking are fully simulated.
 func RunSim(cfg SimConfig) SimResult {
 	if cfg.CPUs == 0 {
@@ -69,6 +77,9 @@ func RunSim(cfg SimConfig) SimResult {
 	default:
 		panic("upscale: unknown lock " + cfg.Lock)
 	}
+	cal := NewStore(0)
+	calRng := rand.New(rand.NewSource(cfg.Seed))
+	clock := replay.Calibrate(insertNominal, 1000, func() { cal.Insert(calRng) })
 	store := NewStore(cfg.Preload)
 	total := cfg.FindThreads + cfg.InsertThreads
 	ops := make([]int64, total)
@@ -92,7 +103,7 @@ func RunSim(cfg SimConfig) SimResult {
 				} else {
 					store.Find(rng)
 				}
-				t.Compute(sinceAtLeast(start, 50*time.Nanosecond))
+				t.Compute(clock.Since(start))
 				lk.Unlock(t)
 				// Client-side work between operations (key generation,
 				// result handling).
@@ -130,21 +141,4 @@ func RunSim(cfg SimConfig) SimResult {
 	res.FindTput = float64(res.FindOps) / secs
 	res.InsertTput = float64(res.InsertOps) / secs
 	return res
-}
-
-// sinceAtLeast returns the elapsed real time since start, floored at min
-// (clock resolution can return 0 for very short operations) and capped at
-// 100µs: the store's operations are microsecond-scale by construction, so
-// larger readings are measurement noise (a GC pause or OS preemption of
-// the simulating process), not critical-section work.
-func sinceAtLeast(start time.Time, min time.Duration) time.Duration {
-	const cap = 100 * time.Microsecond
-	d := time.Since(start)
-	if d < min {
-		return min
-	}
-	if d > cap {
-		return cap
-	}
-	return d
 }

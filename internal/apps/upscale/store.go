@@ -9,7 +9,7 @@
 // The store runs in two harnesses: a real-goroutine mode (sclbench
 // -exp table1, examples) and a simulator twin where each simulated thread executes the
 // real data-structure operation, measures its actual duration, and charges
-// it to the simulated CPU.
+// it to the simulated CPU at the reference host's speed (see RunSim).
 package upscale
 
 import (
