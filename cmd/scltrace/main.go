@@ -18,9 +18,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"scl/internal/workload"
@@ -28,9 +31,12 @@ import (
 	"scl/trace"
 )
 
+// lockKinds are the -lock values, the sim locks workload.MakeLock builds.
+var lockKinds = []string{"uscl", "kscl", "mutex", "spin", "ticket"}
+
 func main() {
 	var (
-		lockKind = flag.String("lock", "uscl", "lock under trace: uscl, kscl, mutex, spin, ticket")
+		lockKind = flag.String("lock", "uscl", "lock under trace: "+strings.Join(lockKinds, ", "))
 		threads  = flag.Int("threads", 3, "contending threads")
 		cs       = flag.Duration("cs", 500*time.Microsecond, "critical section length of thread 0; thread i runs (i+1)x this")
 		horizon  = flag.Duration("horizon", 50*time.Millisecond, "virtual run length")
@@ -39,6 +45,11 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "dump the full trace as trace.Event JSON lines (for scltop -replay)")
 	)
 	flag.Parse()
+	if err := validate(*lockKind, *threads, *cs, *horizon, *tail); err != nil {
+		fmt.Fprintln(os.Stderr, "scltrace:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cpus := *threads
 	if cpus > 8 {
@@ -82,4 +93,23 @@ func main() {
 	for i := 0; i < *threads; i++ {
 		fmt.Printf("  t%d: %8d ops, held %v\n", i, counters.Ops[i], s.Hold(i).Round(time.Microsecond))
 	}
+}
+
+// validate rejects flag values the simulated run cannot take: an
+// unknown lock, no threads, a non-positive critical section or horizon,
+// or a negative tail.
+func validate(lock string, threads int, cs, horizon time.Duration, tail int) error {
+	switch {
+	case !slices.Contains(lockKinds, lock):
+		return fmt.Errorf("unknown -lock %q (want one of %s)", lock, strings.Join(lockKinds, ", "))
+	case threads < 1:
+		return errors.New("-threads must be at least 1")
+	case cs <= 0:
+		return errors.New("-cs must be positive")
+	case horizon <= 0:
+		return errors.New("-horizon must be positive")
+	case tail < 0:
+		return errors.New("-tail must not be negative")
+	}
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"scl/internal/core"
 	"scl/trace"
 )
 
@@ -274,7 +275,7 @@ func TestRWLockQueueSlabRelease(t *testing.T) {
 	// queue, growing the reader slab well past rwQueueKeep. While the
 	// writer is active no reader can be granted (grantLocked's read
 	// branch refuses under rwWActive) and the fast path is blocked, so
-	// every reader deterministically lands in waitR — wait for the full
+	// every reader deterministically lands in the reader queue — wait for the full
 	// crowd before releasing, which guarantees the slab outgrew
 	// rwQueueKeep rather than polling and skipping when it didn't.
 	const crowd = rwQueueKeep * 4
@@ -290,7 +291,7 @@ func TestRWLockQueueSlabRelease(t *testing.T) {
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		l.mu.Lock()
-		queued := len(l.waitR)
+		queued := len(l.wait[core.PhaseRead])
 		l.mu.Unlock()
 		if queued == crowd {
 			break
@@ -309,7 +310,7 @@ func TestRWLockQueueSlabRelease(t *testing.T) {
 	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
 		l.Stats()
 		l.mu.Lock()
-		released = cap(l.waitR)+cap(l.waitW) == 0
+		released = cap(l.wait[core.PhaseRead])+cap(l.wait[core.PhaseWrite]) == 0
 		l.mu.Unlock()
 		if released {
 			break
@@ -318,7 +319,7 @@ func TestRWLockQueueSlabRelease(t *testing.T) {
 	}
 	if !released {
 		l.mu.Lock()
-		got := cap(l.waitR) + cap(l.waitW)
+		got := cap(l.wait[core.PhaseRead]) + cap(l.wait[core.PhaseWrite])
 		l.mu.Unlock()
 		t.Fatalf("waiter slabs hold %d capacity after idling past the threshold, want released", got)
 	}

@@ -106,15 +106,26 @@ func (c *RWController) PhaseEnd() time.Duration {
 // class's demand. It returns the phase in force after the call. curWants
 // and otherWants report whether the phase's own class and the opposite
 // class, respectively, currently hold or wait for the lock.
+//
+// An expired slice with nobody on the other side restarts on the slice
+// grid: its start advances by whole slices to the last grid point at or
+// before now, so a class that arrives later waits out at most the
+// remainder of one slice. The grid makes the restart independent of when
+// the expiry is noticed: a lock that skips the controller on its fast
+// path replays the skipped restarts with one call at its last fast
+// operation and lands on the same clock as one that called at every
+// operation.
 func (c *RWController) MaybeSwitch(now time.Duration, curWants, otherWants bool) Phase {
 	_ = curWants
 	if !c.Expired(now) {
 		return c.phase
 	}
 	if !otherWants {
-		// Nobody on the other side: restart our slice clock so a class that
-		// arrives later gets a timely turn, and keep the phase.
-		c.phaseStart = now
+		if sl := c.SliceLen(c.phase); sl > 0 {
+			c.phaseStart += (now - c.phaseStart) / sl * sl
+		} else {
+			c.phaseStart = now
+		}
 		return c.phase
 	}
 	c.phase = c.phase.Other()

@@ -86,3 +86,24 @@ func TestPhaseStringAndOther(t *testing.T) {
 		t.Fatalf("Other() broken")
 	}
 }
+
+func TestRWIdleRestartOnSliceGrid(t *testing.T) {
+	// A 1ms read slice from 0 noticed idle-expired at 3.4ms restarts at
+	// 3ms, the last grid point: the incumbent keeps the rest of that
+	// slice, not a whole new one from 3.4ms.
+	c := NewRWController(RWParams{Period: 2 * time.Millisecond, ReadWeight: 1, WriteWeight: 1})
+	if got := c.MaybeSwitch(3400*time.Microsecond, true, false); got != PhaseRead {
+		t.Fatalf("switched with no writers: %v", got)
+	}
+	if got, want := c.PhaseEnd(), 4*time.Millisecond; got != want {
+		t.Fatalf("PhaseEnd after idle restart = %v, want %v", got, want)
+	}
+	// Noticing the expiry once or at every slice lands on the same clock.
+	d := NewRWController(RWParams{Period: 2 * time.Millisecond, ReadWeight: 1, WriteWeight: 1})
+	for _, at := range []time.Duration{1200, 2100, 3400} {
+		d.MaybeSwitch(at*time.Microsecond, true, false)
+	}
+	if d.PhaseEnd() != c.PhaseEnd() {
+		t.Fatalf("stepwise restarts end the slice at %v, one restart at %v", d.PhaseEnd(), c.PhaseEnd())
+	}
+}

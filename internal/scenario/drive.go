@@ -437,7 +437,7 @@ type rwLock struct {
 
 func newRWLock(s *RWSpec) lock {
 	return &rwLock{
-		l:      scl.NewRWLock(cmp.Or(s.ReadWeight, 1), cmp.Or(s.WriteWeight, 1), cmp.Or(s.Period, 2*time.Millisecond)),
+		l:      scl.NewRWLock(s.ReadWeight, s.WriteWeight, s.Period),
 		writer: s.Writer,
 	}
 }

@@ -3,9 +3,12 @@ package scenario
 import (
 	"context"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"scl/trace"
 )
 
 // unlocked is a real lock whose acquire and release are skipped, so
@@ -86,5 +89,57 @@ func TestDriverReportsWaitBound(t *testing.T) {
 	_, err := runCheck(s, nil)
 	if err == nil || !strings.Contains(err.Error(), "bound exceeded") {
 		t.Errorf("herd with a 1µs wait bound: want a bound failure, got %v", err)
+	}
+}
+
+// TestObservationNeutral: turning observation on changes no decision.
+// Every single-lock corpus scenario runs on the check substrate without
+// and with a tracer (a trace.Ring installed with SetTracer on an
+// RWLock, MutexSpec.Trace on a Mutex), and both runs must grant in the
+// same order and time out the same acquires. A traced RWLock takes only
+// its slow path, so this also holds the fast path to the slow path's
+// decisions.
+func TestObservationNeutral(t *testing.T) {
+	corpus, err := LoadCorpus("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range corpus {
+		c, err := Compile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Keyed) > 0 {
+			continue
+		}
+		t.Run(s.Name, func(t *testing.T) {
+			traced := specOf(c)
+			plain, tracedLock := traced, traced.lock
+			if traced.RW != nil {
+				tracedLock = func() lock {
+					l := newRWLock(traced.RW).(*rwLock)
+					l.l.SetTracer(trace.NewRing(1 << 14))
+					return l
+				}
+			} else {
+				m := *traced.Mutex
+				m.Trace = false
+				plain.Mutex = &m
+			}
+			off, err := runCheck(plain, nil)
+			if err != nil {
+				t.Fatalf("untraced: %v", err)
+			}
+			on, err := runCheck(traced, tracedLock)
+			if err != nil {
+				t.Fatalf("traced: %v", err)
+			}
+			if !slices.Equal(off.Grants, on.Grants) {
+				t.Errorf("grant order: untraced %v, traced %v", off.Grants, on.Grants)
+			}
+			if !slices.Equal(off.Timeouts, on.Timeouts) {
+				t.Errorf("timeouts: untraced %v, traced %v", off.Timeouts, on.Timeouts)
+			}
+		})
 	}
 }

@@ -534,18 +534,11 @@ func (s *stripe) materializeLocked(m *Manager, key string, now time.Duration) *m
 	lo := m.opts.Lock
 	lo.Name = key
 	if m.opts.RW {
-		rweight, wweight := m.opts.ReadWeight, m.opts.WriteWeight
-		if rweight <= 0 {
-			rweight = 1
-		}
-		if wweight <= 0 {
-			wweight = 1
-		}
 		var ro []Option
 		if lo.InactiveTimeout > 0 {
 			ro = append(ro, WithInactiveGC(lo.InactiveTimeout))
 		}
-		ml.rw = NewRWLock(rweight, wweight, lo.sliceLen(), append(ro, WithName(key))...)
+		ml.rw = NewRWLock(m.opts.ReadWeight, m.opts.WriteWeight, lo.sliceLen(), append(ro, WithName(key))...)
 		if lo.Tracer != nil {
 			ml.rw.SetTracer(lo.Tracer)
 		}

@@ -3,6 +3,7 @@ package scl
 import (
 	"time"
 
+	"scl/internal/core"
 	"scl/trace"
 )
 
@@ -64,7 +65,7 @@ func (l *RWLock) drainWCombine(now time.Duration) time.Duration {
 	})
 	l.lockMu()
 	now = monotime()
-	l.writerOps.Add(int64(len(batch)))
+	l.ops[core.PhaseWrite].Add(int64(len(batch)))
 	l.writerCombines.Add(int64(len(batch)))
 	l.emit(trace.KindCombine, now, trace.EntityWriters, total)
 	for _, r := range batch {

@@ -52,7 +52,13 @@ import (
 // the remainder of one slice, exactly as if every operation had
 // refreshed the clock. Installing a Tracer disables the fast path —
 // traced operations take the slow path so the event stream is identical
-// with and without tracing, and the shard sums are mutex-exact.
+// with and without tracing, and the shard sums are mutex-exact. Because
+// an idle slice restarts on the slice grid however late it is noticed,
+// the replayed restarts land where the slow path's own would, and
+// tracing changes no decision.
+//
+// Each class's queue, counters and slow path are indexed by its
+// core.Phase, so every class transition is written once.
 type RWLock struct {
 	mu   sync.Mutex
 	ctrl *core.RWController
@@ -66,8 +72,8 @@ type RWLock struct {
 	// under mu.
 	word lockWord
 
-	waitR []*rwWaiter
-	waitW []*rwWaiter
+	// wait holds each class's queued acquires, indexed by core.Phase.
+	wait [2][]*rwWaiter
 
 	// inactive (WithInactiveGC) bounds how long empty waiter slabs retain
 	// their grown capacity; emptySince is when both queues last drained
@@ -83,15 +89,14 @@ type RWLock struct {
 	// every slow-path operation charges the interval since the previous
 	// one (lastAt) under the holder state it observed. Real-mode fast
 	// reader operations skip the clock entirely, so a fast regime is
-	// charged in one piece by the next slow operation.
-	lastAt     atomic.Int64
-	lastFast   atomic.Int64 // most recent fast-path op; drives slice-clock credit
-	readerHold atomic.Int64
-	writerHold atomic.Int64
-	readerOps  atomic.Int64 // slow-path reader acquisitions; fast ones count in shards
-	writerOps  atomic.Int64
-	idleTotal  atomic.Int64
-	createdAt  time.Duration
+	// charged in one piece by the next slow operation. The per-class
+	// counters are indexed by core.Phase.
+	lastAt    atomic.Int64
+	lastFast  atomic.Int64 // most recent fast-path op; drives slice-clock credit
+	hold      [2]atomic.Int64
+	ops       [2]atomic.Int64 // slow-path acquisitions; fast reader ones count in shards
+	idleTotal atomic.Int64
+	createdAt time.Duration
 
 	// fastOpsSeen is the Σ shard ops total the slow path last observed;
 	// a differing sum means fast reader activity happened since, and the
@@ -100,22 +105,20 @@ type RWLock struct {
 
 	// cancelled acquisitions per class (RLockContext / WLockContext
 	// returning ctx.Err()).
-	readerCancels atomic.Int64
-	writerCancels atomic.Int64
+	cancels [2]atomic.Int64
 
 	// wcombine is the writer-side combining engine (RWLock.Do,
 	// rwcombine.go): published critical sections the active writer
 	// drains on its way out.
 	wcombine combiner
 	// writerCombines counts closures executed through the combining path
-	// (they are also included in writerOps).
+	// (they are also included in the writer class's ops).
 	writerCombines atomic.Int64
 
 	// tracing state (slow path only — tracing disables the fast path):
-	// start of the current reader busy interval / writer hold / slice
-	// phase, for event details. l.mu held.
-	rStart     time.Duration
-	wStart     time.Duration
+	// start of the current reader busy interval and writer hold, indexed
+	// by core.Phase, and of the slice phase, for event details. l.mu held.
+	start      [2]time.Duration
 	phaseStart time.Duration
 
 	// The distributed read indicator. Signed per-shard reader counters:
@@ -281,8 +284,7 @@ func (l *RWLock) Name() string { return l.name }
 func (l *RWLock) SetTracer(t Tracer) {
 	l.lockMu()
 	now := monotime()
-	l.rStart = now
-	l.wStart = now
+	l.start = [2]time.Duration{now, now}
 	l.phaseStart = now
 	l.tracer.store(t)
 	l.unlockMu()
@@ -302,10 +304,10 @@ func (l *RWLock) charge(readers int64, wactive bool, now time.Duration) {
 		return
 	}
 	if readers > 0 {
-		l.readerHold.Add(readers * int64(dt))
+		l.hold[core.PhaseRead].Add(readers * int64(dt))
 	}
 	if wactive {
-		l.writerHold.Add(int64(dt))
+		l.hold[core.PhaseWrite].Add(int64(dt))
 	} else if readers <= 0 {
 		l.idleTotal.Add(int64(dt))
 	}
@@ -405,7 +407,7 @@ func (l *RWLock) fastWLock(now time.Duration) bool {
 		if l.word.CompareAndSwap(w, w|rwWActive) {
 			l.charge(0, false, now)
 			l.lastFast.Store(int64(now))
-			l.writerOps.Add(1)
+			l.ops[core.PhaseWrite].Add(1)
 			return true
 		}
 	}
@@ -436,13 +438,23 @@ func (l *RWLock) fastWUnlock(now time.Duration) bool {
 	}
 }
 
+// rwEntity is each class's trace pseudo-entity, indexed by core.Phase.
+var rwEntity = [2]int64{trace.EntityReaders, trace.EntityWriters}
+
+// rwSites are each class's checker decision sites, indexed by
+// core.Phase: the slow acquire's entry and a queued waiter's park.
+var rwSites = [2]struct{ slow, wait string }{
+	{"rw.rlock.slow", "rw.rwait"},
+	{"rw.wlock.slow", "rw.wwait"},
+}
+
 // RLock acquires the lock shared. During a write slice it blocks until
 // the read slice begins and the writer drains.
 func (l *RWLock) RLock() {
 	if l.fastRLock() {
 		return
 	}
-	l.await(l.rlockSlow(), trace.EntityReaders, nil)
+	l.lockSlow(context.Background(), core.PhaseRead)
 }
 
 // RLockContext acquires the lock shared, like RLock, but gives up when
@@ -458,66 +470,84 @@ func (l *RWLock) RLockContext(ctx context.Context) error {
 	if l.fastRLock() {
 		return nil
 	}
-	if !l.await(l.rlockSlow(), trace.EntityReaders, ctx.Done()) {
-		return ctx.Err()
-	}
-	return nil
+	return l.lockSlow(ctx, core.PhaseRead)
 }
 
-// rlockSlow runs the shared acquire under l.mu: either inline (nil) or
-// queued (the waiter to await).
-func (l *RWLock) rlockSlow() *rwWaiter {
-	check.Point("rw.rlock.slow")
+// lockSlow is the acquire of class p through l.mu: admitted inline, or
+// queued until its grant or until ctx is done, when abandonWaiter
+// resolves the wait and ctx.Err() is returned. RW waiters park at once:
+// the class is the entity, so there is no next thread to prefetch.
+func (l *RWLock) lockSlow(ctx context.Context, p core.Phase) error {
+	check.Point(rwSites[p].slow)
 	l.lockMu()
 	now := monotime()
 	l.advanceLocked(now)
-	w := l.word.Load()
-	if l.ctrl.Phase() == core.PhaseRead && w&rwWActive == 0 {
-		l.admitReaderLocked(rwShardIndex(), now)
-		l.emit(trace.KindAcquire, now, trace.EntityReaders, 0)
+	if l.admitInlineLocked(p, now) {
 		l.unlockMu()
 		return nil
 	}
 	wt := &rwWaiter{parker: parker{wake: make(chan struct{}, 1)}, since: now, shard: rwShardIndex()}
-	l.waitR = append(l.waitR, wt)
+	l.wait[p] = append(l.wait[p], wt)
 	l.word.mutate(func(x uint64) uint64 { return x | rwWaiters })
+	if p == core.PhaseWrite {
+		// A fastWUnlock may have landed between the inline attempt and
+		// the waiters bit going up; no phase timer is armed for a
+		// same-class waiter, so re-run the grant now that the fast path
+		// stands down.
+		l.grantLocked(now)
+	}
 	l.armPhaseTimer(now)
 	l.unlockMu()
-	return wt
+	if wt.await(rwSites[p].wait, ctx.Done(), false) {
+		return nil
+	}
+	l.abandonWaiter(p, wt)
+	return ctx.Err()
 }
 
-// await blocks a queued waiter of the entity's class (nil: admitted
-// inline, nothing to wait for) until its grant (true), or until done
-// fires first (false; done == nil, the uncancellable RLock/WLock, never
-// fires), after abandonWaiter has resolved the wait. RW waiters park at
-// once: the class is the entity, so there is no next thread to prefetch.
-func (l *RWLock) await(wt *rwWaiter, entity int64, done <-chan struct{}) bool {
-	if wt == nil {
-		return true
+// admitInlineLocked admits an acquire of class p without queueing if
+// p's slice is on and the lock is free for it, and reports whether it
+// did. l.mu held.
+func (l *RWLock) admitInlineLocked(p core.Phase, now time.Duration) bool {
+	w := l.word.Load()
+	if l.ctrl.Phase() != p || w&rwWActive != 0 {
+		return false
 	}
-	site, queue := "rw.wwait", &l.waitW
-	if entity == trace.EntityReaders {
-		site, queue = "rw.rwait", &l.waitR
+	if p == core.PhaseWrite {
+		// During the write phase the phase bit blocks fast readers, so a
+		// zero sweep is definitive: no reader holds and none can enter.
+		// The writer-active bit goes up by a CAS from the observed word,
+		// so a lone writer's fastWLock landing in between fails it (and
+		// this writer queues) instead of being silently joined.
+		if l.readerSum() != 0 {
+			return false
+		}
+		check.Point("rw.wlock.inline")
+		if !l.word.CompareAndSwap(w, w|rwWActive) {
+			return false
+		}
 	}
-	if wt.await(site, done, false) {
-		return true
-	}
-	l.abandonWaiter(queue, wt, entity)
-	return false
+	l.admitLocked(p, rwShardIndex(), now)
+	l.emit(trace.KindAcquire, now, rwEntity[p], 0)
+	return true
 }
 
-// admitReaderLocked counts one reader in on the given indicator shard:
-// the read-side admit of an inline RLock and of each granted waiter.
+// admitLocked books one acquire of class p: a reader counted in on the
+// given indicator shard, or a writer whose writer-active bit is already
+// up. It is the admit of an inline acquire and of each granted waiter.
 // l.mu held.
-func (l *RWLock) admitReaderLocked(shard int, now time.Duration) {
+func (l *RWLock) admitLocked(p core.Phase, shard int, now time.Duration) {
 	l.classEntered(now)
-	sum := l.readerSum()
-	l.charge(sum, false, now)
-	if sum == 0 {
-		l.rStart = now
+	var readers int64
+	if p == core.PhaseRead {
+		readers = l.readerSum()
+		l.shards[shard].count.Add(1)
 	}
-	l.shards[shard].count.Add(1)
-	l.readerOps.Add(1)
+	l.charge(readers, false, now)
+	if readers == 0 {
+		l.start[p] = now
+	}
+	l.ops[p].Add(1)
 }
 
 // releaseReaderLocked counts one reader out of an indicator whose sum,
@@ -528,7 +558,7 @@ func (l *RWLock) releaseReaderLocked(sum int64, now time.Duration) {
 	l.decReaderLocked()
 	var busy time.Duration
 	if sum == 1 {
-		busy = now - l.rStart // the union of the overlapping reads
+		busy = now - l.start[core.PhaseRead] // the union of the overlapping reads
 	}
 	l.emit(trace.KindRelease, now, trace.EntityReaders, busy)
 }
@@ -575,7 +605,7 @@ func (l *RWLock) WLock() {
 	if l.fastWLock(monotime()) {
 		return
 	}
-	l.await(l.wlockSlow(), trace.EntityWriters, nil)
+	l.lockSlow(context.Background(), core.PhaseWrite)
 }
 
 // WLockContext acquires the lock exclusive, like WLock, but gives up when
@@ -588,54 +618,7 @@ func (l *RWLock) WLockContext(ctx context.Context) error {
 	if l.fastWLock(monotime()) {
 		return nil
 	}
-	if !l.await(l.wlockSlow(), trace.EntityWriters, ctx.Done()) {
-		return ctx.Err()
-	}
-	return nil
-}
-
-// wlockSlow runs the exclusive acquire under l.mu: either inline (nil) or
-// queued (the waiter to await).
-func (l *RWLock) wlockSlow() *rwWaiter {
-	check.Point("rw.wlock.slow")
-	l.lockMu()
-	now := monotime()
-	l.advanceLocked(now)
-	w := l.word.Load()
-	// During the write phase the phase bit blocks fast readers, so a
-	// zero sweep is definitive: no reader holds and none can enter. The
-	// writer-active bit goes up by a CAS from the observed word, so a
-	// lone writer's fastWLock landing in between fails it (and this
-	// writer queues) instead of being silently joined.
-	if l.ctrl.Phase() == core.PhaseWrite && w&rwWActive == 0 && l.readerSum() == 0 {
-		check.Point("rw.wlock.inline")
-		if l.word.CompareAndSwap(w, w|rwWActive) {
-			l.admitWriterLocked(now)
-			l.emit(trace.KindAcquire, now, trace.EntityWriters, 0)
-			l.unlockMu()
-			return nil
-		}
-	}
-	wt := &rwWaiter{parker: parker{wake: make(chan struct{}, 1)}, since: now}
-	l.waitW = append(l.waitW, wt)
-	l.word.mutate(func(x uint64) uint64 { return x | rwWaiters })
-	// A fastWUnlock may have landed between the observation above and the
-	// waiters bit going up; no phase timer is armed for a same-class
-	// waiter, so re-run the grant now that the fast path stands down.
-	l.grantLocked(now)
-	l.armPhaseTimer(now)
-	l.unlockMu()
-	return wt
-}
-
-// admitWriterLocked books a writer whose writer-active bit is already
-// up: the write-side admit of an inline WLock and of a granted waiter.
-// l.mu held.
-func (l *RWLock) admitWriterLocked(now time.Duration) {
-	l.classEntered(now)
-	l.charge(0, false, now)
-	l.writerOps.Add(1)
-	l.wStart = now
+	return l.lockSlow(ctx, core.PhaseWrite)
 }
 
 // releaseWriterLocked ends a writer hold: the hold is charged and the
@@ -647,51 +630,42 @@ func (l *RWLock) releaseWriterLocked(now time.Duration) {
 	l.word.mutate(func(x uint64) uint64 { return x &^ rwWActive })
 }
 
-// abandonWaiter resolves a cancelled waiter under l.mu. Grants happen
-// under l.mu, so the granted flag is stable here and tells the two cases
-// apart: a waiter still queued simply detaches; a grant that raced the
-// cancellation — the granter already admitted the waiter and removed it
-// from the queue — is released immediately, letting advanceLocked
-// re-evaluate the phase and wake whoever is eligible. The grant is never
-// lost.
-func (l *RWLock) abandonWaiter(queue *[]*rwWaiter, wt *rwWaiter, entity int64) {
+// abandonWaiter resolves a cancelled waiter of class p under l.mu.
+// Grants happen under l.mu, so the granted flag is stable here and tells
+// the two cases apart: a waiter still queued simply detaches; a grant
+// that raced the cancellation — the granter already admitted the waiter
+// and removed it from the queue — is released immediately, letting
+// advanceLocked re-evaluate the phase and wake whoever is eligible. The
+// grant is never lost. Either way the cancellation lands in the class
+// counters and the event stream, after the release and before the
+// advance.
+func (l *RWLock) abandonWaiter(p core.Phase, wt *rwWaiter) {
 	check.Point("rw.abandon")
 	l.lockMu()
 	defer l.unlockMu()
 	now := monotime()
-	if !wt.granted.Load() {
-		i := slices.Index(*queue, wt)
-		*queue = slices.Delete(*queue, i, i+1)
+	granted := wt.granted.Load()
+	switch {
+	case !granted:
+		i := slices.Index(l.wait[p], wt)
+		l.wait[p] = slices.Delete(l.wait[p], i, i+1)
 		l.syncWaitersBit()
-		l.noteAbandonLocked(entity, now, now-wt.since)
+	case p == core.PhaseRead:
+		l.releaseReaderLocked(l.readerSum(), now)
+	default:
+		l.releaseWriterLocked(now)
+		l.emit(trace.KindRelease, now, trace.EntityWriters, now-l.start[p])
+	}
+	l.cancels[p].Add(1)
+	l.emit(trace.KindAbandon, now, rwEntity[p], max(now-wt.since, 0))
+	if !granted {
 		return
 	}
-	if entity == trace.EntityReaders {
-		l.releaseReaderLocked(l.readerSum(), now)
-	} else {
-		l.releaseWriterLocked(now)
-		l.emit(trace.KindRelease, now, entity, now-l.wStart)
-	}
-	l.noteAbandonLocked(entity, now, now-wt.since)
 	l.advanceLocked(now)
-	// The writer branch cleared writer-active without a drain; wake any
+	// A released writer cleared writer-active without a drain; wake any
 	// pending Do publishers so they withdraw to the classic path (no-op
 	// unless the bit is actually clear — advance may have re-granted).
 	l.wcombine.wakeIdle()
-}
-
-// noteAbandonLocked lands a cancellation in the class counters and the
-// event stream. l.mu held.
-func (l *RWLock) noteAbandonLocked(entity int64, now, waited time.Duration) {
-	if waited < 0 {
-		waited = 0
-	}
-	if entity == trace.EntityReaders {
-		l.readerCancels.Add(1)
-	} else {
-		l.writerCancels.Add(1)
-	}
-	l.emit(trace.KindAbandon, now, entity, waited)
 }
 
 // WUnlock releases the exclusive hold.
@@ -708,7 +682,7 @@ func (l *RWLock) WUnlock() {
 		l.unlockMu()
 		panic("scl: WUnlock without WLock")
 	}
-	l.emit(trace.KindRelease, now, trace.EntityWriters, now-l.wStart)
+	l.emit(trace.KindRelease, now, trace.EntityWriters, now-l.start[core.PhaseWrite])
 	if l.wcombine.head.Load() != nil {
 		// Drain published writer sections while the writer-active bit is
 		// still ours: the closures run under full exclusion, and the
@@ -733,12 +707,13 @@ func (l *RWLock) WUnlock() {
 // Fast writer operations stamp lastFast exactly (they read the clock
 // anyway). Real-mode fast reader operations are clock-free, so their
 // activity is detected by the shards' op-counter total moving and
-// credited as of now — the moment of discovery. The rounding grants the
-// incumbent at most the slice containing the discovery, the same
-// one-slice bound the exact stamp gives. l.mu held.
+// credited as of now — the moment of discovery. The controller's idle
+// restart lands on the slice grid, so one replay at the last fast
+// operation leaves the clock where a restart at every operation would
+// have, and the incumbent keeps at most the slice containing the
+// discovery. l.mu held.
 func (l *RWLock) creditFastActivity(now time.Duration) {
-	sl := l.ctrl.SliceLen(l.ctrl.Phase())
-	if sl <= 0 {
+	if l.ctrl.SliceLen(l.ctrl.Phase()) <= 0 {
 		return
 	}
 	if ops := l.fastReaderOps(); ops != l.fastOpsSeen {
@@ -747,13 +722,7 @@ func (l *RWLock) creditFastActivity(now time.Duration) {
 			l.lastFast.Store(int64(now))
 		}
 	}
-	end := l.ctrl.PhaseEnd()
-	last := time.Duration(l.lastFast.Load())
-	if last < end {
-		return
-	}
-	n := (last-end)/sl + 1
-	l.ctrl.RestartPhase(end - sl + n*sl)
+	l.ctrl.MaybeSwitch(time.Duration(l.lastFast.Load()), true, false)
 }
 
 // advanceLocked updates the slice phase and grants eligible waiters.
@@ -762,23 +731,12 @@ func (l *RWLock) advanceLocked(now time.Duration) {
 	check.Point("rw.advance")
 	l.creditFastActivity(now)
 	w := l.word.Load()
-	readers := l.readerSum()
-	var curWants, otherWants bool
-	if l.ctrl.Phase() == core.PhaseRead {
-		curWants = readers > 0 || len(l.waitR) > 0
-		otherWants = len(l.waitW) > 0 || w&rwWActive != 0
-	} else {
-		curWants = w&rwWActive != 0 || len(l.waitW) > 0
-		otherWants = len(l.waitR) > 0 || readers > 0
-	}
-	before := l.ctrl.Phase()
-	if l.ctrl.MaybeSwitch(now, curWants, otherWants) != before {
+	holds := [2]bool{l.readerSum() > 0, w&rwWActive != 0}
+	p := l.ctrl.Phase()
+	q := p.Other()
+	if l.ctrl.MaybeSwitch(now, holds[p] || len(l.wait[p]) > 0, holds[q] || len(l.wait[q]) > 0) != p {
 		l.phaseFresh = true
-		out := trace.EntityReaders
-		if before == core.PhaseWrite {
-			out = trace.EntityWriters
-		}
-		l.emit(trace.KindSliceEnd, now, out, now-l.phaseStart)
+		l.emit(trace.KindSliceEnd, now, rwEntity[p], now-l.phaseStart)
 		l.phaseStart = now
 		l.word.mutate(func(x uint64) uint64 {
 			x = x&^rwEpoch | (x+1)&rwEpoch // flip advances the epoch
@@ -808,11 +766,11 @@ func (l *RWLock) maybeReleaseQueues(now time.Duration) {
 	if l.inactive <= 0 {
 		return
 	}
-	if len(l.waitR) != 0 || len(l.waitW) != 0 {
+	if l.queued() {
 		l.emptySince = -1
 		return
 	}
-	if cap(l.waitR)+cap(l.waitW) <= rwQueueKeep {
+	if cap(l.wait[core.PhaseRead])+cap(l.wait[core.PhaseWrite]) <= rwQueueKeep {
 		return
 	}
 	if l.emptySince < 0 {
@@ -820,8 +778,7 @@ func (l *RWLock) maybeReleaseQueues(now time.Duration) {
 		return
 	}
 	if now-l.emptySince >= l.inactive {
-		l.waitR = nil
-		l.waitW = nil
+		l.wait = [2][]*rwWaiter{}
 		l.emptySince = -1
 	}
 }
@@ -841,67 +798,49 @@ func (l *RWLock) classEntered(now time.Duration) {
 func (l *RWLock) grantLocked(now time.Duration) {
 	check.Point("rw.grant")
 	defer l.syncWaitersBit()
-	w := l.word.Load()
-	if l.ctrl.Phase() == core.PhaseRead {
-		if w&rwWActive != 0 || len(l.waitR) == 0 {
+	p := l.ctrl.Phase()
+	n := len(l.wait[p])
+	if l.word.Load()&rwWActive != 0 || n == 0 {
+		return
+	}
+	if p == core.PhaseWrite {
+		// The write-phase drain: sweep the read indicator under the phase
+		// bit. A nonzero sum means readers are still draining (or a
+		// transient fast +1 is mid-undo) — skip the grant; the drain's own
+		// slow-path release, the undoing reader's advance, or the phase
+		// timer re-sweeps.
+		check.Point("rw.phaseflip.sweep")
+		if l.readerSum() != 0 {
 			return
 		}
-		for _, wt := range l.waitR {
-			l.admitReaderLocked(wt.shard, now)
-			l.handoffLocked(wt, trace.EntityReaders, now)
-		}
-		clear(l.waitR)
-		l.waitR = l.waitR[:0]
-		return
+		n = 1 // writers exclude each other: only the head
+		l.word.mutate(func(x uint64) uint64 { return x | rwWActive })
 	}
-	if w&rwWActive != 0 || len(l.waitW) == 0 {
-		return
+	for _, wt := range l.wait[p][:n] {
+		l.admitLocked(p, wt.shard, now)
+		l.emit(trace.KindHandoff, now, rwEntity[p], 0)
+		l.emit(trace.KindAcquire, now, rwEntity[p], now-wt.since)
+		wt.grant()
 	}
-	// The write-phase drain: sweep the read indicator under the phase
-	// bit. A nonzero sum means readers are still draining (or a
-	// transient fast +1 is mid-undo) — skip the grant; the drain's own
-	// slow-path release, the undoing reader's advance, or the phase
-	// timer re-sweeps.
-	check.Point("rw.phaseflip.sweep")
-	if l.readerSum() != 0 {
-		return
-	}
-	wt := l.waitW[0]
-	l.waitW[0] = nil
-	l.waitW = l.waitW[1:]
-	l.word.mutate(func(x uint64) uint64 { return x | rwWActive })
-	l.admitWriterLocked(now)
-	l.handoffLocked(wt, trace.EntityWriters, now)
+	l.wait[p] = slices.Delete(l.wait[p], 0, n)
 }
 
-// handoffLocked completes a queued waiter's admission: the handoff and
-// acquire events, then the grant that wakes it. l.mu held.
-func (l *RWLock) handoffLocked(wt *rwWaiter, entity int64, now time.Duration) {
-	l.emit(trace.KindHandoff, now, entity, 0)
-	l.emit(trace.KindAcquire, now, entity, now-wt.since)
-	wt.grant()
+// queued reports whether either class has a waiter. l.mu held.
+func (l *RWLock) queued() bool {
+	return len(l.wait[core.PhaseRead]) > 0 || len(l.wait[core.PhaseWrite]) > 0
 }
 
 // syncWaitersBit reconciles the waiters bit with the queues. l.mu held.
-func (l *RWLock) syncWaitersBit() {
-	l.word.setBit(rwWaiters, len(l.waitR) > 0 || len(l.waitW) > 0)
-}
+func (l *RWLock) syncWaitersBit() { l.word.setBit(rwWaiters, l.queued()) }
 
 // armPhaseTimer schedules a phase re-evaluation at the current slice's end
 // while the opposite class waits. The timer is a single reusable
 // time.Timer armed at most once per slice end; now is the caller's clock
 // reading. l.mu held.
 func (l *RWLock) armPhaseTimer(now time.Duration) {
-	var otherWaits bool
-	if l.ctrl.Phase() == core.PhaseRead {
-		otherWaits = len(l.waitW) > 0
-	} else {
-		otherWaits = len(l.waitR) > 0
+	if len(l.wait[l.ctrl.Phase().Other()]) > 0 {
+		l.timer.arm(l.ctrl.PhaseEnd(), now)
 	}
-	if !otherWaits {
-		return
-	}
-	l.timer.arm(l.ctrl.PhaseEnd(), now)
 }
 
 // onPhaseTimer re-evaluates the phase when a slice end passes without a
@@ -975,11 +914,11 @@ func (l *RWLock) checkFlipLocked() error {
 	if sum := l.readerSum(); sum < 0 {
 		return fmt.Errorf("scl: read indicator sum %d < 0 (lost reader or double release)", sum)
 	}
-	queued := len(l.waitR) > 0 || len(l.waitW) > 0
+	queued := l.queued()
 	hasBit := w&rwWaiters != 0
 	if queued != hasBit {
-		return fmt.Errorf("scl: rw waiters bit %v but queues populated %v (waitR=%d waitW=%d)",
-			hasBit, queued, len(l.waitR), len(l.waitW))
+		return fmt.Errorf("scl: rw waiters bit %v but queues populated %v (readers=%d writers=%d)",
+			hasBit, queued, len(l.wait[core.PhaseRead]), len(l.wait[core.PhaseWrite]))
 	}
 	phaseWrite := l.ctrl.Phase() == core.PhaseWrite
 	bitWrite := w&rwPhaseWrite != 0
@@ -1000,12 +939,12 @@ func (l *RWLock) Stats() RWStats {
 	// chance to run even when the lock has gone quiet.
 	l.maybeReleaseQueues(now)
 	return RWStats{
-		ReaderHold:     time.Duration(l.readerHold.Load()),
-		WriterHold:     time.Duration(l.writerHold.Load()),
-		ReaderOps:      l.readerOps.Load() + l.fastReaderOps(),
-		WriterOps:      l.writerOps.Load(),
-		ReaderCancels:  l.readerCancels.Load(),
-		WriterCancels:  l.writerCancels.Load(),
+		ReaderHold:     time.Duration(l.hold[core.PhaseRead].Load()),
+		WriterHold:     time.Duration(l.hold[core.PhaseWrite].Load()),
+		ReaderOps:      l.ops[core.PhaseRead].Load() + l.fastReaderOps(),
+		WriterOps:      l.ops[core.PhaseWrite].Load(),
+		ReaderCancels:  l.cancels[core.PhaseRead].Load(),
+		WriterCancels:  l.cancels[core.PhaseWrite].Load(),
 		WriterCombined: l.writerCombines.Load(),
 		Idle:           time.Duration(l.idleTotal.Load()),
 		Elapsed:        now - l.createdAt,

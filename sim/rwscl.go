@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"time"
 
 	"scl/internal/core"
@@ -19,8 +20,7 @@ type RWSCL struct {
 	readers int   // active readers
 	writer  *Task // active writer
 
-	waitR []*Task
-	waitW []*Task
+	wait [2][]*Task // spinning acquires per class, indexed by core.Phase
 
 	phaseEvtGen uint64
 	phaseFresh  bool // no grant has landed yet in the current slice
@@ -52,22 +52,47 @@ func (l *RWSCL) Controller() *core.RWController { return l.ctrl }
 
 // RLock acquires the lock shared. Readers enter freely during a read
 // slice; during a write slice they spin until the read slice starts.
-func (l *RWSCL) RLock(t *Task) {
+func (l *RWSCL) RLock(t *Task) { l.lock(t, core.PhaseRead) }
+
+// WLock acquires the lock exclusive. Writers contend with each other
+// within the write slice (so a second writer can use the slice while the
+// first executes non-critical code, paper Figure 12b).
+func (l *RWSCL) WLock(t *Task) { l.lock(t, core.PhaseWrite) }
+
+// lock acquires for class p: at once while p's slice is on and the lock
+// is free for it, else by spinning until grantEligible grants it.
+func (l *RWSCL) lock(t *Task, p core.Phase) {
 	start := t.e.now
-	t.Compute(l.e.cfg.Cost.AtomicOp) // counter increment
+	t.Compute(l.e.cfg.Cost.AtomicOp) // reader count increment or writer-bit CAS
 	l.advance()
-	if !(l.ctrl.Phase() == core.PhaseRead && l.writer == nil) {
-		l.waitR = append(l.waitR, t)
-		l.armPhaseEnd()
-		t.spin() // granted in grantEligible; reader count already bumped
-	} else {
+	if l.ctrl.Phase() == p && l.free(p) {
 		l.classEntered()
-		l.readers++
+		l.enter(p, t)
+	} else {
+		l.wait[p] = append(l.wait[p], t)
+		l.armPhaseEnd()
+		t.spin() // granted in grantEligible, already counted in
 	}
 	t.holding++
 	l.holds.start(t)
 	l.stats.onAcquire(t)
 	l.stats.onWait(t, t.e.now-start)
+}
+
+// free reports whether class p may enter beside the current holders:
+// nobody excludes a reader but a writer, and a writer needs the lock
+// empty.
+func (l *RWSCL) free(p core.Phase) bool {
+	return l.writer == nil && (p == core.PhaseRead || l.readers == 0)
+}
+
+// enter counts t in as a holder of class p.
+func (l *RWSCL) enter(p core.Phase, t *Task) {
+	if p == core.PhaseRead {
+		l.readers++
+	} else {
+		l.writer = t
+	}
 }
 
 // RUnlock releases a shared hold.
@@ -77,27 +102,6 @@ func (l *RWSCL) RUnlock(t *Task) {
 	t.holding--
 	l.stats.onRelease(t, l.holds.end(t))
 	l.advance()
-}
-
-// WLock acquires the lock exclusive. Writers contend with each other
-// within the write slice (so a second writer can use the slice while the
-// first executes non-critical code, paper Figure 12b).
-func (l *RWSCL) WLock(t *Task) {
-	start := t.e.now
-	t.Compute(l.e.cfg.Cost.AtomicOp) // CAS on the writer bit
-	l.advance()
-	if !(l.ctrl.Phase() == core.PhaseWrite && l.writer == nil && l.readers == 0) {
-		l.waitW = append(l.waitW, t)
-		l.armPhaseEnd()
-		t.spin() // granted in grantEligible; writer slot already taken
-	} else {
-		l.classEntered()
-		l.writer = t
-	}
-	t.holding++
-	l.holds.start(t)
-	l.stats.onAcquire(t)
-	l.stats.onWait(t, t.e.now-start)
 }
 
 // WUnlock releases the exclusive hold.
@@ -115,22 +119,15 @@ func (l *RWSCL) WUnlock(t *Task) {
 // advance updates the slice phase and grants eligible waiters. Called
 // after every state change and at slice boundaries.
 func (l *RWSCL) advance() {
-	now := l.e.now
-	var curWants, otherWants bool
-	if l.ctrl.Phase() == core.PhaseRead {
-		curWants = l.readers > 0 || len(l.waitR) > 0
-		otherWants = len(l.waitW) > 0 || l.writer != nil
-	} else {
-		curWants = l.writer != nil || len(l.waitW) > 0
-		otherWants = len(l.waitR) > 0 || l.readers > 0
-	}
 	// Never switch away while the other class still drains; the controller
 	// handles expiry, we gate on the drain.
-	if l.ctrl.Phase() == core.PhaseRead && l.writer != nil {
+	p := l.ctrl.Phase()
+	if p == core.PhaseRead && l.writer != nil {
 		return
 	}
-	before := l.ctrl.Phase()
-	if l.ctrl.MaybeSwitch(now, curWants, otherWants) != before {
+	holds := [2]bool{l.readers > 0, l.writer != nil}
+	q := p.Other()
+	if l.ctrl.MaybeSwitch(l.e.now, holds[p] || len(l.wait[p]) > 0, holds[q] || len(l.wait[q]) > 0) != p {
 		l.phaseFresh = true
 	}
 	l.grantEligible()
@@ -150,44 +147,28 @@ func (l *RWSCL) classEntered() {
 // all waiting readers during a read slice (once the writer drains), or one
 // waiting writer during a write slice (once readers drain).
 func (l *RWSCL) grantEligible() {
-	handoff := l.e.cfg.Cost.handoff(len(l.waitR)+len(l.waitW), len(l.e.cpus))
-	if l.ctrl.Phase() == core.PhaseRead {
-		if l.writer != nil {
-			return // drain the writer first
-		}
-		if len(l.waitR) > 0 {
-			l.classEntered()
-		}
-		for _, r := range l.waitR {
-			l.readers++
-			l.e.grantSpin(r, handoff)
-		}
-		l.waitR = l.waitR[:0]
+	handoff := l.e.cfg.Cost.handoff(len(l.wait[core.PhaseRead])+len(l.wait[core.PhaseWrite]), len(l.e.cpus))
+	p := l.ctrl.Phase()
+	n := len(l.wait[p])
+	if n == 0 || !l.free(p) {
 		return
 	}
-	if l.readers > 0 || l.writer != nil {
-		return // drain readers / current writer first
+	if p == core.PhaseWrite {
+		n = 1
 	}
-	if len(l.waitW) > 0 {
-		l.classEntered()
-		w := l.waitW[0]
-		l.waitW = l.waitW[1:]
-		l.writer = w
-		l.e.grantSpin(w, handoff)
+	l.classEntered()
+	for _, t := range l.wait[p][:n] {
+		l.enter(p, t)
+		l.e.grantSpin(t, handoff)
 	}
+	l.wait[p] = slices.Delete(l.wait[p], 0, n)
 }
 
 // armPhaseEnd schedules a phase re-evaluation at the current slice's end
 // when the opposite class waits; without it a slice with no releases would
 // never hand over.
 func (l *RWSCL) armPhaseEnd() {
-	var otherWaits bool
-	if l.ctrl.Phase() == core.PhaseRead {
-		otherWaits = len(l.waitW) > 0
-	} else {
-		otherWaits = len(l.waitR) > 0
-	}
-	if !otherWaits {
+	if len(l.wait[l.ctrl.Phase().Other()]) == 0 {
 		return
 	}
 	l.phaseEvtGen++
