@@ -59,10 +59,12 @@ bench-module:
 	cd bench && $(GO) test -race ./...
 
 # One iteration of each layer benchmark in internal/core and
-# internal/metrics (the cost ledger's accountant and reservoir rows), so
-# they keep compiling and running between `make bench` recordings.
+# internal/metrics (the cost ledger's accountant and reservoir rows) and
+# of the root package's Manager benchmarks (the key-churn path included),
+# so they keep compiling and running between `make bench` recordings.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core ./internal/metrics
+	$(GO) test -run '^$$' -bench '^BenchmarkManager' -benchtime 1x .
 
 # Review scaffolding (REVIEW-marked probes, temporary assertions) may live
 # in test files only; fail the gate if any marker leaks into production

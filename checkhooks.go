@@ -216,13 +216,17 @@ func (s *tracerSlot) load() Tracer {
 	return nil
 }
 
-// store installs t; nil removes the tracer.
+// store installs t; nil removes the tracer. Only a tracer gets a heap
+// cell: taking &t would move the parameter to the heap on every call,
+// nil included.
 func (s *tracerSlot) store(t Tracer) {
 	if t == nil {
 		s.p.Store(nil)
 		return
 	}
-	s.p.Store(&t)
+	cell := new(Tracer)
+	*cell = t
+	s.p.Store(cell)
 }
 
 // parker is a queued waiter's side of a grant, shared by both locks'

@@ -380,7 +380,7 @@ func (m *Mutex) drainCombine(combiner *Handle, now time.Duration) time.Duration 
 	m.draining = nil
 	now = monotime()
 	m.emit(trace.KindCombine, now, combiner.id, combiner.name, total)
-	m.stats.of(combiner.ref).combines += int64(len(batch))
+	m.stats.onCombines(combiner.ref, int64(len(batch)))
 	charges := make([]core.Charge, len(batch))
 	for i, r := range batch {
 		charges[i] = core.Charge{ID: r.h.id, Usage: r.end - r.start}
@@ -392,12 +392,11 @@ func (m *Mutex) drainCombine(combiner *Handle, now time.Duration) time.Duration 
 		if wait < 0 {
 			wait = 0
 		}
-		books := m.stats.of(r.h.ref)
-		m.stats.onCombinedOp(books, name, r.start, r.end, wait)
+		m.stats.onCombinedOp(r.h.ref, name, r.start, r.end, wait)
 		m.emit(trace.KindAcquire, r.start, id, name, wait)
 		m.emit(trace.KindRelease, r.end, id, name, r.end-r.start)
 		if pens[i] > 0 {
-			books.onBan(pens[i])
+			m.stats.onBan(r.h.ref, pens[i])
 			m.emit(trace.KindBan, r.end, id, name, pens[i])
 		}
 	}

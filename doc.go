@@ -141,7 +141,8 @@
 //     per-entity weight; OnAcquire/OnRelease charge critical-section time
 //     to the holder (Usage, GrandUsage); rescale keeps totals bounded.
 //     The real-lock wall-clock bookkeeping around it (idle time, holder
-//     overlap, distributions) is lockStats in stats.go.
+//     overlap, distributions) is lockStats in stats.go, which a
+//     Manager's key locks leave out (Manager.Stats is a table's view).
 //   - §4.2 "Lock slices" — Accountant.StartSlice, SliceOwner, SliceExpired,
 //     SliceEnd. The owner's one-CAS re-acquisition inside its slice is
 //     Mutex.fastLock/fastUnlock on the packed state word (see "The
@@ -223,7 +224,9 @@
 // sprays over many keys is booked together: per-key fairness comes from
 // each key's own SCL, table-level fairness from per-stripe tenant books
 // charged at Grant.Unlock, whose bans stack across concurrent holds and
-// are slept out at the tenant's next acquire on that stripe.
+// are slept out at the tenant's next acquire on that stripe. The key
+// locks keep no per-entity statistics of their own: Manager.Stats, read
+// from the stripe books, is the only view of a table.
 //
 // Key and tenant lifetimes follow the GC story above, at both levels:
 //

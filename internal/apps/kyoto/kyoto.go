@@ -123,7 +123,8 @@ const readNominal = 590 * time.Nanosecond
 // RunSim executes the simulated KyotoCabinet workload: Readers + Writers
 // workers pinned round-robin, real hash-table operations with measured
 // costs charged to simulated CPUs at the reference host's speed (a
-// replay.Clock calibrated on reads).
+// replay.Clock calibrated on reads and kept anchored by the run's own
+// reads).
 func RunSim(cfg SimConfig) SimResult {
 	if cfg.CPUs == 0 {
 		cfg.CPUs = 8
@@ -178,7 +179,7 @@ func RunSim(cfg SimConfig) SimResult {
 					lk.RLock(t)
 					start = time.Now()
 					db.Read(rng)
-					t.Compute(clock.Since(start))
+					t.Compute(clock.Anchor(start))
 					lk.RUnlock(t)
 				}
 				t.Compute(200 * time.Nanosecond)

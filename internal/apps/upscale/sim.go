@@ -56,9 +56,10 @@ const insertNominal = 3860 * time.Nanosecond
 // RunSim executes the simulated UpScaleDB workload. Each simulated thread
 // executes real B+-tree/journal operations on the shared store, measures
 // their actual duration, and charges that to the simulated CPU through a
-// replay.Clock calibrated on inserts — so critical-section lengths have
-// the store's authentic distribution at the reference host's speed while
-// scheduling and locking are fully simulated.
+// replay.Clock calibrated on inserts and kept anchored by the run's own
+// inserts — so critical-section lengths have the store's authentic
+// distribution at the reference host's speed while scheduling and locking
+// are fully simulated.
 func RunSim(cfg SimConfig) SimResult {
 	if cfg.CPUs == 0 {
 		cfg.CPUs = 4
@@ -100,10 +101,11 @@ func RunSim(cfg SimConfig) SimResult {
 				start := time.Now()
 				if insert {
 					store.Insert(rng)
+					t.Compute(clock.Anchor(start))
 				} else {
 					store.Find(rng)
+					t.Compute(clock.Since(start))
 				}
-				t.Compute(clock.Since(start))
 				lk.Unlock(t)
 				// Client-side work between operations (key generation,
 				// result handling).

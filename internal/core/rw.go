@@ -63,6 +63,7 @@ type RWController struct {
 	params     RWParams
 	phase      Phase
 	phaseStart time.Duration
+	fresh      bool // no acquisition has entered the current slice yet
 }
 
 // NewRWController returns a controller. The lock begins in a read slice,
@@ -115,12 +116,18 @@ func (c *RWController) PhaseEnd() time.Duration {
 // path replays the skipped restarts with one call at its last fast
 // operation and lands on the same clock as one that called at every
 // operation.
+//
+// A fresh slice — one no acquisition has entered since the switch (see
+// Enter) — whose class still wants the lock restarts on the grid the
+// same way, whoever waits opposite: its class is waiting out the other
+// class's drain (a writer behind readers that still hold), so the slice
+// has not begun, and ending it would hand the lock back before the class
+// ever held it.
 func (c *RWController) MaybeSwitch(now time.Duration, curWants, otherWants bool) Phase {
-	_ = curWants
 	if !c.Expired(now) {
 		return c.phase
 	}
-	if !otherWants {
+	if !otherWants || c.fresh && curWants {
 		if sl := c.SliceLen(c.phase); sl > 0 {
 			c.phaseStart += (now - c.phaseStart) / sl * sl
 		} else {
@@ -128,22 +135,27 @@ func (c *RWController) MaybeSwitch(now time.Duration, curWants, otherWants bool)
 		}
 		return c.phase
 	}
-	c.phase = c.phase.Other()
-	c.phaseStart = now
-	return c.phase
+	return c.ForceSwitch(now)
 }
 
 // ForceSwitch unconditionally starts the other class's slice at now (used
-// by tests and by drain timeouts).
+// by MaybeSwitch and by tests). The new slice is fresh until Enter.
 func (c *RWController) ForceSwitch(now time.Duration) Phase {
 	c.phase = c.phase.Other()
 	c.phaseStart = now
+	c.fresh = true
 	return c.phase
 }
 
-// RestartPhase restarts the current slice's clock at now. Locks call this
-// when the first grant of a fresh slice lands, so time spent draining the
-// previous class does not eat into the new class's slice — keeping the
-// configured ratio stable whatever the drain takes (paper Figure 12a:
-// "irrespective of the number of readers, RW-SCL sticks to the ratio").
-func (c *RWController) RestartPhase(now time.Duration) { c.phaseStart = now }
+// Enter records an acquisition by the current slice's class at now. The
+// first one of a fresh slice restarts the slice's clock at now, so time
+// spent draining the previous class does not eat into the new class's
+// slice — keeping the configured ratio stable whatever the drain takes
+// (paper Figure 12a: "irrespective of the number of readers, RW-SCL
+// sticks to the ratio").
+func (c *RWController) Enter(now time.Duration) {
+	if c.fresh {
+		c.phaseStart = now
+		c.fresh = false
+	}
+}

@@ -107,3 +107,30 @@ func TestRWIdleRestartOnSliceGrid(t *testing.T) {
 		t.Fatalf("stepwise restarts end the slice at %v, one restart at %v", d.PhaseEnd(), c.PhaseEnd())
 	}
 }
+
+func TestRWFreshSliceWaitsForEntry(t *testing.T) {
+	// 9:1 of 10ms: the read slice ends at 9ms and a writer switches in at
+	// 9.5ms, but readers still hold. Past the 1ms write slice (10.5ms)
+	// the writer has not entered, so the slice has not begun: queued
+	// readers must not switch it back.
+	c := NewRWController(RWParams{Period: 10 * time.Millisecond, ReadWeight: 9, WriteWeight: 1})
+	if got := c.MaybeSwitch(9500*time.Microsecond, true, true); got != PhaseWrite {
+		t.Fatalf("no switch at read expiry: %v", got)
+	}
+	if got := c.MaybeSwitch(12*time.Millisecond, true, true); got != PhaseWrite {
+		t.Fatalf("write slice ended before its writer entered: %v", got)
+	}
+	// The writer enters at 12.2ms: its 1ms slice runs from there.
+	c.Enter(12200 * time.Microsecond)
+	if got, want := c.PhaseEnd(), 13200*time.Microsecond; got != want {
+		t.Fatalf("PhaseEnd after entry = %v, want %v", got, want)
+	}
+	if got := c.MaybeSwitch(13200*time.Microsecond, true, true); got != PhaseRead {
+		t.Fatalf("entered write slice did not end at expiry: %v", got)
+	}
+	// A fresh slice nobody of its class wants any more (the readers gave
+	// up) ends at expiry as before.
+	if got := c.MaybeSwitch(25*time.Millisecond, false, true); got != PhaseWrite {
+		t.Fatalf("abandoned fresh read slice kept: %v", got)
+	}
+}

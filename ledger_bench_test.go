@@ -56,16 +56,15 @@ func BenchmarkLockMu(b *testing.B) {
 // slow-path hold: onAcquire and onRelease through a handle's cached
 // reference, with both reservoirs full.
 func BenchmarkStatsAcquireRelease(b *testing.B) {
-	var s lockStats
-	s.init()
+	s := newLockStats()
 	ref := &entityRef{id: 1}
 	now := s.idleStart
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.onAcquire(s.of(ref), "", now, 0)
+		s.onAcquire(ref, "", now, 0)
 		now += time.Microsecond
-		s.onRelease(s.of(ref), now)
+		s.onRelease(ref, now)
 	}
 }
 

@@ -54,6 +54,16 @@ import (
 // releases and rate-limited — no background goroutine. Stripe books
 // survive a lock reap, so a reaped-and-rematerialized key sees
 // unchanged tenant accounting.
+//
+// Key locks keep no statistics: Stats, read from the stripe books, is
+// the only view of a table, and no key lock is exposed, so a mutex key
+// lock is built without the per-entity stats a standalone Mutex keeps —
+// no stats map, reservoirs, hold integral or wait sample per grant. Its
+// accountant, which makes the key's grant decisions, is unchanged. The
+// one event that took a label from those stats is the per-key entity
+// reap (Lock.InactiveTimeout, traced through Lock.Tracer); a key lock
+// names the reaped tenant by the name its seed handle was registered
+// under, which the seed's entity keeps.
 type Manager struct {
 	opts    ManagerOptions
 	mask    uint64
@@ -546,7 +556,7 @@ func (s *stripe) materializeLocked(m *Manager, key string, now time.Duration) *m
 		if lo.Slice == 0 {
 			lo.Slice = -1 // k-SCL keys: see ManagerOptions.Lock
 		}
-		ml.mu = NewMutex(lo)
+		ml.mu = newMutex(lo, false) // key locks keep no statistics
 		ml.seeds = make(map[core.ID]*Handle)
 	}
 	s.keys[key] = ml
@@ -559,10 +569,7 @@ func (s *stripe) materializeLocked(m *Manager, key string, now time.Duration) *m
 func (ml *managedLock) seedLocked(t *Tenant) *Handle {
 	h := ml.seeds[t.id]
 	if h == nil {
-		h = ml.mu.RegisterWeight(t.weight)
-		if t.name != "" {
-			h.SetName(t.name)
-		}
+		h = ml.mu.register(t.weight, t.name)
 		ml.seeds[t.id] = h
 	}
 	return h

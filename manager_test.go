@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"scl/internal/check"
+	"scl/trace"
 )
 
 // invariants fails the test on the first manager invariant violation.
@@ -601,5 +603,110 @@ func TestManagerCloseUnregisters(t *testing.T) {
 				t.Fatalf("slice %v, %s: %v", slice, c.name, sum.Failure)
 			}
 		}
+	}
+}
+
+// TestManagerKeyLocksKeepNoStats: a mutex table's key locks keep no
+// per-entity statistics, on k-SCL and u-SCL keys alike, through grants,
+// a handoff, a cancelled acquire, a tenant close and a per-key entity
+// reap — and the reap event still names the reaped tenant, by the name
+// its seed was registered under.
+func TestManagerKeyLocksKeepNoStats(t *testing.T) {
+	const idle = 10 * time.Millisecond
+	for _, slice := range []time.Duration{0, DefaultSlice} {
+		tr := &recTracer{}
+		sched := check.NewSched(check.NewFirstChooser(), 0)
+		check.Install(sched)
+		m := NewManager(ManagerOptions{Lock: Options{Slice: slice, InactiveTimeout: idle, Tracer: tr}})
+		a, b, c := m.Tenant("a", 1), m.Tenant("b", 1), m.Tenant("c", 1)
+		ctx, cancel := context.WithCancel(context.Background())
+		var aHeld atomic.Bool
+		var cancelErr error
+		var snap StatsSnapshot
+		sched.Go("a", func() {
+			g := a.Lock("k")
+			aHeld.Store(true)
+			check.Sleep(500 * time.Microsecond)
+			cancel() // b's first acquire is queued behind this hold
+			check.Sleep(500 * time.Microsecond)
+			g.Unlock() // b's second acquire is queued: a handoff
+		})
+		sched.Go("b", func() {
+			check.WaitOrDone("test.aheld", aHeld.Load, nil)
+			_, cancelErr = b.LockContext(ctx, "k")
+			g := b.Lock("k")
+			check.Sleep(100 * time.Microsecond)
+			g.Unlock()
+			b.Close()
+		})
+		sched.Go("c", func() {
+			// Past a's idle threshold, c's grants give the key lock's lazy
+			// GC its sweeps, and a's entity is reaped.
+			check.Sleep(3 * idle)
+			c.Lock("k").Unlock()
+			check.Sleep(slice + idle)
+			c.Lock("k").Unlock()
+			snap = m.stripeOf("k").keys["k"].mu.Stats()
+		})
+		res := sched.Run()
+		check.Uninstall(sched)
+		if res.Failure != nil {
+			t.Fatalf("slice %v: %v", slice, res.Failure)
+		}
+		if cancelErr != context.Canceled {
+			t.Fatalf("slice %v: b's cancelled acquire returned %v", slice, cancelErr)
+		}
+		invariants(t, m)
+		ml := m.stripeOf("k").keys["k"]
+		if ml.mu.stats != nil {
+			t.Fatalf("slice %v: key lock keeps statistics", slice)
+		}
+		for id, h := range ml.seeds {
+			if h.ref.books != nil {
+				t.Errorf("slice %v: tenant %d's seed caches a stats entry", slice, id)
+			}
+		}
+		if len(snap.Hold)+len(snap.Names)+len(snap.Bans) != 0 || snap.Reaped != 0 {
+			t.Errorf("slice %v: key lock snapshot has per-entity rows: %+v", slice, snap)
+		}
+		kinds := map[trace.Kind]int{}
+		for _, ev := range tr.events() {
+			kinds[ev.Kind]++
+			if ev.Kind == trace.KindReap && ev.Name != "a" {
+				t.Errorf("slice %v: reap event names %q (entity %d), want tenant a", slice, ev.Name, ev.Entity)
+			}
+		}
+		if kinds[trace.KindHandoff] == 0 || kinds[trace.KindAbandon] != 1 || kinds[trace.KindReap] != 1 {
+			t.Errorf("slice %v: %d handoffs, %d abandons, %d reaps traced, want >0, 1, 1",
+				slice, kinds[trace.KindHandoff], kinds[trace.KindAbandon], kinds[trace.KindReap])
+		}
+	}
+}
+
+// freshKeyAllocs is what acquiring and releasing a key the table has not
+// materialized allocates: the managedLock and its seed map, the key Mutex
+// with its entity map and slice-timer callback, the key's accountant and
+// its entity table, the seed Handle and its entityRef, the accountant
+// entry, the map cells of the three new entries, and the Grant.
+const freshKeyAllocs = 14
+
+// TestManagerFreshKeyAllocs: a fresh-key Lock/Unlock allocates no more
+// than freshKeyAllocs. Key locks that kept statistics, and a tracer slot
+// that allocated on every store, made it 23.
+func TestManagerFreshKeyAllocs(t *testing.T) {
+	m := NewManager(ManagerOptions{}, WithStripes(1))
+	tn := m.Tenant("t", 1)
+	const runs = 200
+	keys := make([]string, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range keys {
+		keys[i] = "key-" + strconv.Itoa(i)
+	}
+	i := 0
+	got := testing.AllocsPerRun(runs, func() {
+		tn.Lock(keys[i]).Unlock()
+		i++
+	})
+	if got > freshKeyAllocs {
+		t.Fatalf("fresh-key Lock/Unlock allocates %v, want at most %d", got, freshKeyAllocs)
 	}
 }

@@ -44,6 +44,10 @@ import (
 // A k-SCL (zero-length slice, Options.Slice < 0) has no fast path and no
 // slice timer: every release is its own slice boundary and hands the
 // lock on under the internal mutex, so no timer is ever created for it.
+//
+// A Mutex from NewMutex keeps per-entity statistics for Stats. A
+// Manager's key locks keep none (their stats component is nil): nobody
+// can read them, and the table's view is Manager.Stats.
 type Mutex struct {
 	opts   Options
 	name   string
@@ -81,7 +85,7 @@ type Mutex struct {
 	// an abandoned slice. A k-SCL never arms it (armSliceEnd).
 	timer boundaryTimer
 
-	stats lockStats
+	stats *lockStats // nil: the lock keeps no statistics
 }
 
 // State-word layout. Owner occupies the low bits as id+1 (0 = no owner).
@@ -108,6 +112,11 @@ func NewMutex(opts Options, extra ...Option) *Mutex {
 	for _, fn := range extra {
 		fn(&opts)
 	}
+	return newMutex(opts, true)
+}
+
+// newMutex creates a mutex that keeps statistics when withStats is set.
+func newMutex(opts Options, withStats bool) *Mutex {
 	m := &Mutex{
 		opts:   opts,
 		name:   opts.Name,
@@ -124,7 +133,9 @@ func NewMutex(opts Options, extra ...Option) *Mutex {
 	m.combine = combiner{word: &m.word, busy: wordHeld | wordTransfer, sites: &muCombineSites}
 	m.timer.fire = m.onSliceTimer
 	m.tracer.store(opts.Tracer)
-	m.stats.init()
+	if withStats {
+		m.stats = newLockStats()
+	}
 	return m
 }
 
@@ -149,12 +160,14 @@ type Handle struct {
 }
 
 // entityRef is the state an entity's handles share: how many of them are
-// open, and a cached reference to the entity's stats entry, so the slow
-// path reaches the entity's books without a map lookup (lockStats.of). The
-// Mutex's refs map holds the ref while open > 0. m.mu guards it.
+// open, the label the entity was registered under, and a cached reference
+// to the entity's stats entry, so the slow path reaches the entity's
+// books without a map lookup (lockStats.of). The Mutex's refs map holds
+// the ref while open > 0. m.mu guards it.
 type entityRef struct {
 	id    int64
 	open  int          // handles not yet closed; 0 once closed or reaped
+	name  string       // registration label; names the reap event without stats
 	books *entityStats // the entity's stats entry as of gen
 	gen   uint64       // lockStats.gen when books was resolved
 }
@@ -171,9 +184,13 @@ func (m *Mutex) RegisterNice(nice int) *Handle {
 }
 
 // RegisterWeight adds an entity with an explicit weight.
-func (m *Mutex) RegisterWeight(weight int64) *Handle {
-	h := &Handle{m: m, id: core.ID(handleIDs.Add(1)), weight: weight}
-	h.ref = &entityRef{id: int64(h.id), open: 1}
+func (m *Mutex) RegisterWeight(weight int64) *Handle { return m.register(weight, "") }
+
+// register adds an entity with the given weight under a label its handle
+// starts with and its entityRef keeps for good.
+func (m *Mutex) register(weight int64, name string) *Handle {
+	h := &Handle{m: m, id: core.ID(handleIDs.Add(1)), weight: weight, name: name}
+	h.ref = &entityRef{id: int64(h.id), open: 1, name: name}
 	m.lockMu()
 	m.acct.Register(h.id, weight, monotime())
 	m.refs[h.id] = h.ref
@@ -289,7 +306,7 @@ func (m *Mutex) entityQueued(id core.ID) bool { return m.queuedAt(id) >= 0 }
 // per-entity stats go with them, so all three maps stay proportional to
 // the active set. Residual stats of entities that departed via Close are
 // swept on the same schedule (with GC off they are kept forever for
-// post-run reporting). m.mu held.
+// post-run reporting); a lock without stats has none. m.mu held.
 func (m *Mutex) maybeReap(now time.Duration) {
 	if m.opts.InactiveTimeout <= 0 || now < m.nextReap {
 		return
@@ -302,21 +319,18 @@ func (m *Mutex) maybeReap(now time.Duration) {
 		return m.entityQueued(id) || m.entityCombining(id)
 	})
 	for _, r := range reaped {
-		if ref := m.refs[r.ID]; ref != nil {
+		ref := m.refs[r.ID]
+		if ref != nil {
 			ref.open = 0
 			delete(m.refs, r.ID)
 		}
-		m.emit(trace.KindReap, now, r.ID, m.stats.onReap(int64(r.ID), now), r.Idle)
+		m.emit(trace.KindReap, now, r.ID, m.stats.onReap(int64(r.ID), ref, now), r.Idle)
 	}
-	for id, e := range m.stats.entities {
-		cid := core.ID(id)
-		if e.active != 0 || now-e.settledAt < m.opts.InactiveTimeout ||
-			m.acct.Registered(cid) || m.entityQueued(cid) {
-			continue
-		}
-		idle := now - e.settledAt
-		m.emit(trace.KindReap, now, cid, m.stats.onReap(id, now), idle)
-	}
+	m.stats.sweepResidual(now, m.opts.InactiveTimeout, func(id int64) bool {
+		return m.acct.Registered(core.ID(id)) || m.entityQueued(core.ID(id))
+	}, func(id int64, name string, idle time.Duration) {
+		m.emit(trace.KindReap, now, core.ID(id), name, idle)
+	})
 	if len(reaped) > 0 {
 		m.debugCheckBooks()
 	}
@@ -595,7 +609,7 @@ func (m *Mutex) noteAbandonLocked(h *Handle, now, reqAt time.Duration) {
 	if wait < 0 {
 		wait = 0
 	}
-	m.stats.of(h.ref).onAbandon(h.name)
+	m.stats.onAbandon(h.ref, h.name)
 	m.emit(trace.KindAbandon, now, h.id, h.name, wait)
 }
 
@@ -718,7 +732,7 @@ func (m *Mutex) acquireLocked(h *Handle, e *core.Entity, now, reqAt time.Duratio
 		wait = 0
 	}
 	m.acct.AcquireEntry(h.id, e, now)
-	m.stats.onAcquire(m.stats.of(h.ref), h.name, now, wait)
+	m.stats.onAcquire(h.ref, h.name, now, wait)
 	m.emit(trace.KindAcquire, now, h.id, h.name, wait)
 }
 
@@ -741,7 +755,7 @@ func (m *Mutex) fold(now time.Duration) {
 		return
 	}
 	m.acct.FoldSliceUsage(owner, window, now)
-	m.stats.fold(m.stats.entity(int64(owner)), window, ops, now)
+	m.stats.fold(int64(owner), window, ops, now)
 }
 
 // dequeue removes w from the waiter queue if it is still there (an
@@ -830,7 +844,7 @@ func (m *Mutex) unlockSlow(h *Handle) {
 		}
 	} else {
 		rel = m.acct.ReleaseEntry(e, now)
-		m.stats.onRelease(m.stats.of(h.ref), now)
+		m.stats.onRelease(h.ref, now)
 	}
 	m.emit(trace.KindRelease, now, h.id, h.name, rel.Hold)
 	if m.combine.head.Load() != nil {
@@ -870,7 +884,7 @@ func (m *Mutex) unlockSlow(h *Handle) {
 	}
 	if rel.Penalty > 0 {
 		m.emit(trace.KindBan, now, h.id, h.name, rel.Penalty)
-		m.stats.of(h.ref).onBan(rel.Penalty)
+		m.stats.onBan(h.ref, rel.Penalty)
 	}
 	switch {
 	case ghost:
@@ -912,7 +926,7 @@ func (m *Mutex) staleBit() uint64 {
 
 // handoff records an ownership grant to w and wakes it. m.mu held.
 func (m *Mutex) handoff(w *waiter, now time.Duration) {
-	m.stats.of(w.h.ref).handoffs++
+	m.stats.onHandoff(w.h.ref)
 	m.emit(trace.KindHandoff, now, w.h.id, w.h.name, 0)
 	w.grant()
 }
@@ -1059,7 +1073,8 @@ func (m *Mutex) onSliceTimer() {
 // time, for fairness reporting. Pending fast-path accounting is folded in
 // first, so snapshots are exact up to any operation in flight. With
 // WithInactiveGC configured, taking a snapshot also gives the lazy
-// inactive-entity GC a chance to run.
+// inactive-entity GC a chance to run. A lock that keeps no statistics (a
+// Manager's key lock) reports only Registered.
 func (m *Mutex) Stats() StatsSnapshot {
 	m.lockMu()
 	defer m.unlockMu()

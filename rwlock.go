@@ -82,8 +82,7 @@ type RWLock struct {
 	emptySince time.Duration
 
 	// timer drives phase-end re-evaluation (onPhaseTimer).
-	timer      boundaryTimer
-	phaseFresh bool // no acquisition has landed yet in this slice
+	timer boundaryTimer
 
 	// Usage integrals, Σ individual holds = ∫ holders(t) dt per class:
 	// every slow-path operation charges the interval since the previous
@@ -537,7 +536,7 @@ func (l *RWLock) admitInlineLocked(p core.Phase, now time.Duration) bool {
 // up. It is the admit of an inline acquire and of each granted waiter.
 // l.mu held.
 func (l *RWLock) admitLocked(p core.Phase, shard int, now time.Duration) {
-	l.classEntered(now)
+	l.ctrl.Enter(now)
 	var readers int64
 	if p == core.PhaseRead {
 		readers = l.readerSum()
@@ -735,7 +734,6 @@ func (l *RWLock) advanceLocked(now time.Duration) {
 	p := l.ctrl.Phase()
 	q := p.Other()
 	if l.ctrl.MaybeSwitch(now, holds[p] || len(l.wait[p]) > 0, holds[q] || len(l.wait[q]) > 0) != p {
-		l.phaseFresh = true
 		l.emit(trace.KindSliceEnd, now, rwEntity[p], now-l.phaseStart)
 		l.phaseStart = now
 		l.word.mutate(func(x uint64) uint64 {
@@ -780,16 +778,6 @@ func (l *RWLock) maybeReleaseQueues(now time.Duration) {
 	if now-l.emptySince >= l.inactive {
 		l.wait = [2][]*rwWaiter{}
 		l.emptySince = -1
-	}
-}
-
-// classEntered restarts the slice clock on the first acquisition of a
-// fresh slice, so drain time is not charged to the incoming class.
-// l.mu held.
-func (l *RWLock) classEntered(now time.Duration) {
-	if l.phaseFresh {
-		l.ctrl.RestartPhase(now)
-		l.phaseFresh = false
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"scl/internal/check"
 )
 
 // exerciseMutualExclusion hammers a sync.Locker from several goroutines
@@ -345,6 +347,49 @@ func TestRWLockRatio(t *testing.T) {
 	frac := float64(s.WriterHold) / float64(s.WriterHold+s.ReaderHold/2)
 	if frac > 0.45 {
 		t.Fatalf("writer fraction %.2f, want bounded near its 10%% share", frac)
+	}
+}
+
+// TestRWWriteSliceWaitsForWriter: a write slice does not expire before
+// its writer is admitted. With a 9:1 split of a 10 ms period the read
+// slice ends at 9 ms with writer w queued, but reader r1 holds until
+// 12 ms, so w waits out the drain; reader r2 queues at 10 ms, past the
+// 1 ms write slice measured from the flip. w must enter at r1's release,
+// ahead of r2, instead of losing its slice to the readers and waiting a
+// whole read slice more.
+func TestRWWriteSliceWaitsForWriter(t *testing.T) {
+	sched := check.NewSched(check.NewFirstChooser(), 0)
+	check.Install(sched)
+	defer check.Uninstall(sched)
+	l := NewRWLock(9, 1, 10*time.Millisecond)
+	start := monotime()
+	var wAt, r2At time.Duration
+	sched.Go("r1", func() {
+		l.RLock()
+		check.Sleep(12 * time.Millisecond)
+		l.RUnlock()
+	})
+	sched.Go("w", func() {
+		check.Sleep(time.Millisecond)
+		l.WLock()
+		wAt = monotime() - start
+		check.Sleep(100 * time.Microsecond)
+		l.WUnlock()
+	})
+	sched.Go("r2", func() {
+		check.Sleep(10 * time.Millisecond)
+		l.RLock()
+		r2At = monotime() - start
+		l.RUnlock()
+	})
+	if res := sched.Run(); res.Failure != nil {
+		t.Fatal(res.Failure)
+	}
+	if wAt != 12*time.Millisecond || r2At < wAt {
+		t.Fatalf("writer admitted at %v and reader r2 at %v, want the writer at r1's release (12ms) and first", wAt, r2At)
+	}
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -23,7 +23,6 @@ type RWSCL struct {
 	wait [2][]*Task // spinning acquires per class, indexed by core.Phase
 
 	phaseEvtGen uint64
-	phaseFresh  bool // no grant has landed yet in the current slice
 
 	holds holdTimes
 	stats *LockStats
@@ -66,7 +65,7 @@ func (l *RWSCL) lock(t *Task, p core.Phase) {
 	t.Compute(l.e.cfg.Cost.AtomicOp) // reader count increment or writer-bit CAS
 	l.advance()
 	if l.ctrl.Phase() == p && l.free(p) {
-		l.classEntered()
+		l.ctrl.Enter(l.e.now)
 		l.enter(p, t)
 	} else {
 		l.wait[p] = append(l.wait[p], t)
@@ -127,20 +126,9 @@ func (l *RWSCL) advance() {
 	}
 	holds := [2]bool{l.readers > 0, l.writer != nil}
 	q := p.Other()
-	if l.ctrl.MaybeSwitch(l.e.now, holds[p] || len(l.wait[p]) > 0, holds[q] || len(l.wait[q]) > 0) != p {
-		l.phaseFresh = true
-	}
+	l.ctrl.MaybeSwitch(l.e.now, holds[p] || len(l.wait[p]) > 0, holds[q] || len(l.wait[q]) > 0)
 	l.grantEligible()
 	l.armPhaseEnd()
-}
-
-// classEntered restarts the slice clock on the first acquisition of a
-// fresh slice, so drain time is not charged to the incoming class.
-func (l *RWSCL) classEntered() {
-	if l.phaseFresh {
-		l.ctrl.RestartPhase(l.e.now)
-		l.phaseFresh = false
-	}
 }
 
 // grantEligible hands the lock to waiters allowed by the current phase:
@@ -156,7 +144,7 @@ func (l *RWSCL) grantEligible() {
 	if p == core.PhaseWrite {
 		n = 1
 	}
-	l.classEntered()
+	l.ctrl.Enter(l.e.now)
 	for _, t := range l.wait[p][:n] {
 		l.enter(p, t)
 		l.e.grantSpin(t, handoff)

@@ -17,6 +17,13 @@ const distCap = 512
 // distributions, ban totals, and lock idle time. Callers must serialize
 // access (the enclosing lock's mutex).
 //
+// Statistics are optional, like a lock's tracer: a nil *lockStats is a
+// lock that keeps none, and every method below is a no-op on it (snapshot
+// returns an empty StatsSnapshot). The locks update stats only through
+// these methods, so whether a lock keeps them is decided here and nowhere
+// else. A standalone Mutex keeps them; a Manager's key locks do not, since
+// Manager.Stats reads only its stripe books and no key lock is exposed.
+//
 // Hold time is accounted as a holder-count integral per entity
 // (Σ individual holds = ∫ holders_i(t) dt), so entities whose holds
 // overlap themselves — several readers of one class, or siblings of one
@@ -52,10 +59,10 @@ type entityStats struct {
 	waits        *metrics.Reservoir
 }
 
-func (s *lockStats) init() {
-	s.entities = make(map[int64]*entityStats)
-	s.idleStart = monotime()
-	s.started = s.idleStart
+// newLockStats returns the statistics of a lock created now.
+func newLockStats() *lockStats {
+	now := monotime()
+	return &lockStats{entities: make(map[int64]*entityStats), idleStart: now, started: now}
 }
 
 func (s *lockStats) entity(id int64) *entityStats {
@@ -88,7 +95,19 @@ func (e *entityStats) settle(now time.Duration) {
 	e.settledAt = now
 }
 
-func (s *lockStats) onAcquire(e *entityStats, name string, now time.Duration, wait time.Duration) {
+// setName keeps the label an operation of the entity carried.
+func (e *entityStats) setName(name string) {
+	if name != "" {
+		e.name = name
+	}
+}
+
+// onAcquire books a hold of ref's entity starting at now after waiting
+// wait.
+func (s *lockStats) onAcquire(ref *entityRef, name string, now time.Duration, wait time.Duration) {
+	if s == nil {
+		return
+	}
 	if s.holders == 0 && now > s.idleStart {
 		// The clamp matters with the atomic fast path: a fold may have
 		// advanced idleStart past the (earlier) start of an in-flight
@@ -96,9 +115,8 @@ func (s *lockStats) onAcquire(e *entityStats, name string, now time.Duration, wa
 		s.idle += now - s.idleStart
 	}
 	s.holders++
-	if name != "" {
-		e.name = name
-	}
+	e := s.of(ref)
+	e.setName(name)
 	e.settle(now)
 	if e.active == 0 {
 		e.opStart = now
@@ -108,11 +126,16 @@ func (s *lockStats) onAcquire(e *entityStats, name string, now time.Duration, wa
 	e.waits.Add(wait)
 }
 
-func (s *lockStats) onRelease(e *entityStats, now time.Duration) {
+// onRelease ends a hold of ref's entity at now.
+func (s *lockStats) onRelease(ref *entityRef, now time.Duration) {
+	if s == nil {
+		return
+	}
 	s.holders--
 	if s.holders == 0 {
 		s.idleStart = now
 	}
+	e := s.of(ref)
 	e.settle(now)
 	if e.active > 0 {
 		e.active--
@@ -125,13 +148,17 @@ func (s *lockStats) onRelease(e *entityStats, now time.Duration) {
 	}
 }
 
-// fold lands a batch of fast-path operations for one entity: ops
+// fold lands a batch of fast-path operations for entity id: ops
 // acquisitions whose holds sum (as a wall-clock window) to window, all
 // completed since the last fold while the lock-level holder count was
 // zero. Totals (hold, acquisitions, idle) are exact; the hold/wait
 // distributions receive the batch as uniform samples (mean hold, zero
 // wait), since the fast path records no per-operation timestamps.
-func (s *lockStats) fold(e *entityStats, window time.Duration, ops int64, now time.Duration) {
+func (s *lockStats) fold(id int64, window time.Duration, ops int64, now time.Duration) {
+	if s == nil {
+		return
+	}
+	e := s.entity(id)
 	e.settle(now)
 	e.acquisitions += ops
 	e.hold += window
@@ -149,28 +176,52 @@ func (s *lockStats) fold(e *entityStats, window time.Duration, ops int64, now ti
 	}
 }
 
-func (e *entityStats) onBan(penalty time.Duration) {
+// onHandoff counts an ownership grant to ref's entity.
+func (s *lockStats) onHandoff(ref *entityRef) {
+	if s == nil {
+		return
+	}
+	s.of(ref).handoffs++
+}
+
+// onBan books a penalty of the given length imposed on ref's entity.
+func (s *lockStats) onBan(ref *entityRef, penalty time.Duration) {
+	if s == nil {
+		return
+	}
+	e := s.of(ref)
 	e.bans++
 	e.banTime += penalty
 }
 
+// onCombines counts n closures ref's entity executed for others as the
+// combiner of one drain.
+func (s *lockStats) onCombines(ref *entityRef, n int64) {
+	if s == nil {
+		return
+	}
+	s.of(ref).combines += n
+}
+
 // onCombinedOp books one combiner-executed critical section on behalf of
-// entity e: the exact equivalent of onAcquire(start)/onRelease(end) at
-// the closure's measured timestamps — hold integral, acquisition count,
-// wait and hold samples, idle accounting — plus the delegation count. The lock-level holder count is untouched
-// (the batch runs between the combiner's release and the next acquire,
-// while holders is zero; the held state word, not this counter, is the
-// mutual exclusion).
-func (s *lockStats) onCombinedOp(e *entityStats, name string, start, end, wait time.Duration) {
+// ref's entity: the exact equivalent of onAcquire(start)/onRelease(end)
+// at the closure's measured timestamps — hold integral, acquisition
+// count, wait and hold samples, idle accounting — plus the delegation
+// count. The lock-level holder count is untouched (the batch runs between
+// the combiner's release and the next acquire, while holders is zero; the
+// held state word, not this counter, is the mutual exclusion).
+func (s *lockStats) onCombinedOp(ref *entityRef, name string, start, end, wait time.Duration) {
+	if s == nil {
+		return
+	}
 	if s.holders == 0 {
 		if start > s.idleStart {
 			s.idle += start - s.idleStart
 		}
 		s.idleStart = end
 	}
-	if name != "" {
-		e.name = name
-	}
+	e := s.of(ref)
+	e.setName(name)
 	e.settle(start)
 	if e.active == 0 {
 		e.opStart = start
@@ -189,10 +240,12 @@ func (s *lockStats) onCombinedOp(e *entityStats, name string, start, end, wait t
 // onAbandon records a cancelled acquisition (a LockContext that gave up
 // mid-ban or mid-queue). No hold or wait lands in the distributions: an
 // abandoned attempt leaves the usage books exactly as if it never queued.
-func (e *entityStats) onAbandon(name string) {
-	if name != "" {
-		e.name = name
+func (s *lockStats) onAbandon(ref *entityRef, name string) {
+	if s == nil {
+		return
 	}
+	e := s.of(ref)
+	e.setName(name)
 	e.cancels++
 }
 
@@ -200,10 +253,18 @@ func (e *entityStats) onAbandon(name string) {
 // it, or its residual entry after Close aged out). The entity's hold time
 // folds into the reaped aggregate so lock-level totals stay meaningful;
 // per-entity history (distributions, bans) is dropped with the entry —
-// that is the point of the GC. Returns the entity's label for the reap
-// event. A missing entry (reaped before its first op landed) is counted
-// but contributes nothing.
-func (s *lockStats) onReap(id int64, now time.Duration) string {
+// that is the point of the GC. It returns the entity's label for the reap
+// event: its entry's, or on a lock without stats the label its handles
+// were registered under, which ref (nil: none open) carries. A missing
+// entry (reaped before its first op landed) is counted but contributes
+// nothing.
+func (s *lockStats) onReap(id int64, ref *entityRef, now time.Duration) string {
+	if s == nil {
+		if ref != nil {
+			return ref.name
+		}
+		return ""
+	}
 	s.reaped++
 	e, ok := s.entities[id]
 	if !ok {
@@ -216,7 +277,27 @@ func (s *lockStats) onReap(id int64, now time.Duration) string {
 	return e.name
 }
 
+// sweepResidual reaps the entries of entities idle for at least idle with
+// no hold outstanding and not vetoed by keep — what stays of entities that
+// left the accountant through Close — and reports each to reaped with its
+// label and idle time. A lock without stats has nothing to sweep.
+func (s *lockStats) sweepResidual(now, idle time.Duration, keep func(id int64) bool, reaped func(id int64, name string, idle time.Duration)) {
+	if s == nil {
+		return
+	}
+	for id, e := range s.entities {
+		if e.active != 0 || now-e.settledAt < idle || keep(id) {
+			continue
+		}
+		since := now - e.settledAt
+		reaped(id, s.onReap(id, nil, now), since)
+	}
+}
+
 func (s *lockStats) snapshot(now time.Duration) StatsSnapshot {
+	if s == nil {
+		return StatsSnapshot{}
+	}
 	n := len(s.entities)
 	snap := StatsSnapshot{
 		Hold:         make(map[int64]time.Duration, n),

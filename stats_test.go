@@ -8,12 +8,15 @@ import (
 // newTestStats returns a lockStats with a zeroed clock so tests can drive
 // it with synthetic timestamps.
 func newTestStats() *lockStats {
-	s := &lockStats{}
-	s.init()
+	s := newLockStats()
 	s.idleStart = 0
 	s.started = 0
 	return s
 }
+
+// statsRef is a fresh reference to entity id's stats entry, resolved
+// through the entry map on first use.
+func statsRef(id int64) *entityRef { return &entityRef{id: id} }
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
@@ -23,10 +26,10 @@ func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 func TestLockStatsIdleUnderReaderOverlap(t *testing.T) {
 	s := newTestStats()
 	// r1 holds [1,4), r2 holds [2,6): lock busy [1,6), idle [0,1) ∪ [6,8).
-	s.onAcquire(s.entity(1), "r1", ms(1), 0)
-	s.onAcquire(s.entity(2), "r2", ms(2), 0)
-	s.onRelease(s.entity(1), ms(4))
-	s.onRelease(s.entity(2), ms(6))
+	s.onAcquire(statsRef(1), "r1", ms(1), 0)
+	s.onAcquire(statsRef(2), "r2", ms(2), 0)
+	s.onRelease(statsRef(1), ms(4))
+	s.onRelease(statsRef(2), ms(6))
 	snap := s.snapshot(ms(8))
 	if snap.Idle != ms(3) {
 		t.Fatalf("idle = %v, want 3ms (1ms before + 2ms after the overlap)", snap.Idle)
@@ -46,10 +49,10 @@ func TestLockStatsIdleUnderReaderOverlap(t *testing.T) {
 func TestLockStatsSameEntityOverlapHold(t *testing.T) {
 	s := newTestStats()
 	// Two holds of entity 1: [0,2) and [1,3). Σ individual holds = 4ms.
-	s.onAcquire(s.entity(1), "", ms(0), 0)
-	s.onAcquire(s.entity(1), "", ms(1), 0)
-	s.onRelease(s.entity(1), ms(2))
-	s.onRelease(s.entity(1), ms(3))
+	s.onAcquire(statsRef(1), "", ms(0), 0)
+	s.onAcquire(statsRef(1), "", ms(1), 0)
+	s.onRelease(statsRef(1), ms(2))
+	s.onRelease(statsRef(1), ms(3))
 	snap := s.snapshot(ms(3))
 	if snap.Hold[1] != ms(4) {
 		t.Fatalf("hold = %v, want 4ms (Σ of overlapping holds)", snap.Hold[1])
@@ -66,7 +69,7 @@ func TestLockStatsSameEntityOverlapHold(t *testing.T) {
 // An in-flight hold at snapshot time is charged up to the snapshot.
 func TestLockStatsInFlightHold(t *testing.T) {
 	s := newTestStats()
-	s.onAcquire(s.entity(7), "held", ms(2), ms(1))
+	s.onAcquire(statsRef(7), "held", ms(2), ms(1))
 	snap := s.snapshot(ms(5))
 	if snap.Hold[7] != ms(3) {
 		t.Fatalf("in-flight hold = %v, want 3ms", snap.Hold[7])
@@ -84,9 +87,9 @@ func TestLockStatsInFlightHold(t *testing.T) {
 
 func TestLockStatsBanAndHandoffCounters(t *testing.T) {
 	s := newTestStats()
-	s.entity(3).onBan(ms(10))
-	s.entity(3).onBan(ms(5))
-	s.entity(3).handoffs++
+	s.onBan(statsRef(3), ms(10))
+	s.onBan(statsRef(3), ms(5))
+	s.onHandoff(statsRef(3))
 	snap := s.snapshot(ms(1))
 	if snap.Bans[3] != 2 || snap.BanTime[3] != ms(15) {
 		t.Fatalf("bans = %d / %v, want 2 / 15ms", snap.Bans[3], snap.BanTime[3])

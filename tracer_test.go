@@ -176,3 +176,22 @@ func TestNoTracerNoEvents(t *testing.T) {
 	// Nothing to assert beyond "does not panic": the nil path is the
 	// default exercised by every other test in the package.
 }
+
+// TestTracerSlotStoreAllocs: only installing a tracer allocates its cell.
+// Removing one — SetTracer(nil), or a lock built without one — allocates
+// nothing.
+func TestTracerSlotStoreAllocs(t *testing.T) {
+	m := NewMutex(Options{})
+	l := NewRWLock(1, 1, 0)
+	if n := testing.AllocsPerRun(100, func() {
+		m.SetTracer(nil)
+		l.SetTracer(nil)
+	}); n != 0 {
+		t.Errorf("SetTracer(nil) allocates %v per Mutex+RWLock pair, want 0", n)
+	}
+	var s tracerSlot
+	tr := &recTracer{}
+	if n := testing.AllocsPerRun(100, func() { s.store(tr) }); n != 1 {
+		t.Errorf("storing a tracer allocates %v, want its one cell", n)
+	}
+}
